@@ -9,6 +9,14 @@ Reports are JSON with sorted keys; wall-clock numbers live under a separate
 "timing" key so the rest of the document is byte-reproducible.  Exit codes:
 0 success, 1 verification mismatch, 2 input error, 3 a capacity skip was
 escalated by --strict.
+
+Schema 2 changed the ``consistency`` checks of ``verify``.  Schema 1 compared
+the alternating sum of each Betti vector with the Euler characteristic, which
+any set of ranks satisfies, so it could never fail.  Schema 2 reports checks
+that a wrong rank can fail instead: ``betti_Q_le_GF2`` (beta_j over Q is at
+most beta_j over GF(2) for every j, when both fields are computed) and
+``poincare_duality_GF2`` (beta_j = beta_{d-j} over GF(2) on closed, connected
+K(d) members, which are manifolds).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -180,9 +188,13 @@ def cmd_verify(args) -> int:
         report["homeomorphism_type"] = None
 
     consistency: dict[str, bool] = {}
-    for field, values in betti.items():
-        alt = sum(v if j % 2 == 0 else -v for j, v in enumerate(values))
-        consistency[f"euler_fvector_vs_{field}"] = (alt == fv.chi)
+    if homology.GF2 in betti and homology.Q in betti:
+        consistency["betti_Q_le_GF2"] = all(
+            q <= g for q, g in zip(betti[homology.Q], betti[homology.GF2]))
+    if report["walkup"] and report["walkup"]["K"] and props.get("closed") \
+            and props["connected"] and homology.GF2 in betti:
+        consistency["poincare_duality_GF2"] = (
+            betti[homology.GF2] == betti[homology.GF2][::-1])
     if report["walkup"] and report["walkup"]["K"] and homology.GF2 in betti \
             and K.dim >= 4 and K.dim % 2 == 0:
         consistency["euler_formula"] = (fv.chi == 2 - 2 * betti[homology.GF2][1])

@@ -3,9 +3,10 @@
 Boundary matrices are indexed by the canonical (sorted) face order of the
 complex.  The orientation convention is the alternating sum over the sorted
 vertex tuple, so the entry for the face obtained by deleting the i-th vertex
-carries sign (-1)^i.  Ranks are computed exactly: packed bit rows over
-GF(2), fraction-free integer elimination over Q.  Betti numbers are the only
-output; torsion is out of scope.
+carries sign (-1)^i.  Every boundary map is eliminated exactly, in every
+dimension, by the one heap-ordered sparse elimination of ``linalg`` that
+serves both fields.  Betti numbers are the only output; torsion is out of
+scope.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ class ChainBoundary:
         return rows
 
     def rank(self) -> int:
+        # eliminate the transpose: the stored columns feed the kernel as
+        # rows, with no row-major copy of the matrix
         if self.field == GF2:
-            return gf2_rank(self.bit_rows())
-        return int_rank(self.sparse_rows())
+            return gf2_rank(sum(1 << r for r, _ in col) for col in self.columns)
+        return int_rank(dict(col) for col in self.columns)
 
 
 def boundary_matrix(K: GeneralComplex, j: int, field: str = GF2) -> ChainBoundary:

@@ -1,11 +1,7 @@
-"""Exact linear algebra kernels: GF(2) bit matrices and integer elimination.
+"""Exact linear algebra: one sparse rank kernel serves GF(2) and Q.
 
-GF(2) matrices are packed one row per Python int, so a row operation is a
-single word-parallel XOR.  Rational ranks are computed on the integers by
-sparse row elimination: pivots prefer unit entries and low-degree columns,
-rows are combined integrally, and each combined row is divided by its
-content, so every intermediate value stays an exact int.  No floating point
-appears anywhere in this module.
+The kernel is a heap-ordered sparse elimination with Markowitz-style pivots
+(Dumas, Heckenbach, Saunders and Welker 2003).  No floating point appears.
 """
 
 from __future__ import annotations
@@ -13,23 +9,98 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable
 
 
+def _xor_into(row: dict[int, int], pivot: dict[int, int], c: int) -> None:
+    """row += pivot over GF(2): the symmetric difference of the supports."""
+    for cc in pivot:
+        if row.pop(cc, 0) == 0:
+            row[cc] = 1
+
+
+def _fraction_free_into(row: dict[int, int], pivot: dict[int, int],
+                        c: int) -> None:
+    """row := f*row + g*pivot over the integers, clearing column c."""
+    a, pval = row[c], pivot[c]
+    if pval in (1, -1):
+        f_row, f_piv = 1, -a * pval
+    else:
+        g = gcd(pval, a)
+        f_row, f_piv = pval // g, -(a // g)
+        for cc in row:
+            row[cc] *= f_row
+    for cc, v in pivot.items():
+        nv = row.get(cc, 0) + f_piv * v
+        if nv:
+            row[cc] = nv
+        else:
+            row.pop(cc, None)
+    if f_row != 1 and row:  # a unit pivot scaled nothing: skip the gcd pass
+        g = reduce(gcd, row.values())
+        for cc in row:
+            row[cc] //= g
+
+
+def _sparse_rank(rows: list[dict[int, int]], combine) -> int:
+    """Rank of sparse rows with nonzero entries, which it consumes.
+
+    ``combine(row, pivot, c)`` adds to ``row`` the multiple of ``pivot`` that
+    clears column c.  Columns wait in a lazy min-heap keyed by (active entry
+    count, column): a stale key is pushed back when popped.  The pivot row
+    prefers a unit entry, then a small one, then a short row.
+    """
+    cols: defaultdict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(rows):
+        for c in row:
+            cols[c].add(i)
+    heap = sorted((len(s), c) for c, s in cols.items())  # sorted is a heap
+    rank = 0
+    while heap:
+        count, c = heappop(heap)
+        in_col = cols[c]
+        if len(in_col) != count:
+            if in_col:
+                heappush(heap, (len(in_col), c))
+            continue
+        r = min(in_col, key=lambda rr: (abs(rows[rr][c]) != 1,
+                                        abs(rows[rr][c]), len(rows[rr]), rr))
+        pivot, rows[r] = rows[r], None  # nothing reads row r again
+        for cc in pivot:
+            cols[cc].discard(r)
+        rank += 1
+        for rr in cols.pop(c):
+            row = rows[rr]
+            combine(row, pivot, c)
+            if not row:
+                rows[rr] = None  # an emptied dict keeps its table
+            for cc in pivot:
+                if cc in row:
+                    cols[cc].add(rr)
+                elif cc != c:
+                    cols[cc].discard(rr)
+    return rank
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank of a GF(2) matrix given as packed row bitmasks."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        r = row
-        while r:
-            c = (r & -r).bit_length() - 1
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r
-                break
-            r ^= p
-    return len(pivots)
+    return _sparse_rank([dict.fromkeys(_bits(row), 1) for row in rows],
+                        _xor_into)
+
+
+def int_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of an integer matrix given as sparse rows."""
+    return _sparse_rank([{c: v for c, v in row.items() if v} for row in rows],
+                        _fraction_free_into)
 
 
 def gf2_kernel_basis(rows: Iterable[int], ncols: int) -> list[int]:
@@ -61,79 +132,6 @@ def gf2_kernel_basis(rows: Iterable[int], ncols: int) -> list[int]:
                 vec |= 1 << c
         basis.append(vec)
     return basis
-
-
-def _row_content(row: dict[int, int]) -> int:
-    return reduce(gcd, row.values())
-
-
-def int_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank over Q of an integer matrix given as sparse rows.
-
-    Exact fraction-free elimination.  The pivot is chosen in the active
-    column with the fewest entries, preferring rows with a unit coefficient
-    there and few entries overall (Markowitz-style fill control).
-    """
-    active: dict[int, dict[int, int]] = {}
-    cols: defaultdict[int, set[int]] = defaultdict(set)
-    for i, row in enumerate(rows):
-        entries = {c: v for c, v in row.items() if v}
-        if entries:
-            active[i] = entries
-            for c in entries:
-                cols[c].add(i)
-    rank = 0
-    while cols:
-        c = min(cols, key=lambda cc: (len(cols[cc]), cc))
-        in_col = cols[c]
-        r = min(in_col, key=lambda rr: (abs(active[rr][c]) != 1,
-                                        abs(active[rr][c]), len(active[rr]), rr))
-        pivot = active.pop(r)
-        pval = pivot[c]
-        for cc in pivot:
-            s = cols.get(cc)
-            if s is not None:
-                s.discard(r)
-                if not s:
-                    del cols[cc]
-        rank += 1
-        targets = list(cols.pop(c, ()))
-        for rr in targets:
-            row = active[rr]
-            a = row.pop(c)
-            if pval == 1:
-                f_row, f_piv = 1, -a
-            elif pval == -1:
-                f_row, f_piv = 1, a
-            else:
-                g = gcd(pval, a)
-                f_row, f_piv = pval // g, -(a // g)
-            if f_row != 1:
-                for cc in row:
-                    row[cc] *= f_row
-            for cc, v in pivot.items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, 0) + f_piv * v
-                if nv:
-                    if cc not in row:
-                        cols[cc].add(rr)
-                    row[cc] = nv
-                elif cc in row:
-                    del row[cc]
-                    s = cols[cc]
-                    s.discard(rr)
-                    if not s:
-                        del cols[cc]
-            if row:
-                if f_row != 1:
-                    g = _row_content(row)
-                    if g > 1:
-                        for cc in row:
-                            row[cc] //= g
-            else:
-                del active[rr]
-    return rank
 
 
 def rational_kernel_basis(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:

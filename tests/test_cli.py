@@ -3,9 +3,11 @@
 import io
 import json
 
-from walkup import catalog, fileio
+import pytest
+
+from walkup import catalog, fileio, homology
 from walkup.catalog import CatalogEntry, a541_tree_family
-from walkup.cli import main
+from walkup.cli import EXIT_MISMATCH, main
 from walkup.generators import random_stacked_ball
 
 
@@ -30,7 +32,7 @@ class TestVerify:
     def test_five_complex_report(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "A5_21")
         assert code == 0
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["walkup"] == {"K": False, "Kbar": True, "Kstar": False}
         assert doc["boundary_f_vector"] == [21, 210, 490, 525, 210]
         assert doc["betti"]["GF2"] == [1, 8, 0, 0, 0, 0]
@@ -102,6 +104,32 @@ class TestVerify:
         assert "consistency: all checks pass" in out
         _, out2, _ = run(capsys, "verify", "M4_21", "--text")
         assert out == out2  # fully deterministic, no timing in text mode
+
+
+class TestConsistencyChecks:
+    def test_closed_member_reports_both_checks(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "M4_21")
+        assert code == 0
+        assert doc["consistency"]["betti_Q_le_GF2"] is True
+        assert doc["consistency"]["poincare_duality_GF2"] is True
+
+    @pytest.mark.parametrize("key, field, bad", [
+        ("betti_Q_le_GF2", homology.Q, (1, 8, 1, 8, 1)),
+        ("poincare_duality_GF2", homology.GF2, (1, 8, 0, 9, 1)),
+    ])
+    def test_bad_betti_vector_is_a_mismatch(self, capsys, monkeypatch, key,
+                                            field, bad):
+        real = homology.betti_numbers
+
+        def corrupt(K, f=homology.GF2):
+            if homology.normalize_field(f) == field:
+                return homology.BettiVector(field=field, values=bad)
+            return real(K, f)
+
+        monkeypatch.setattr(homology, "betti_numbers", corrupt)
+        code, doc, _ = run_json(capsys, "verify", "M4_21")
+        assert code == EXIT_MISMATCH
+        assert [k for k, ok in doc["consistency"].items() if not ok] == [key]
 
 
 class TestTable1:
@@ -226,13 +254,20 @@ class TestExportHomologyAut:
 
 
 class TestEntryPoint:
-    def test_console_script(self, tmp_path):
+    def test_console_script(self):
+        import os
         import shutil
         import subprocess
+        import sys
+        from pathlib import Path
+
+        import walkup
         exe = shutil.which("walkup")
-        if exe is None:
-            import pytest
-            pytest.skip("console script not on PATH")
-        out = subprocess.run([exe, "export", "S4_6"], capture_output=True,
-                             text=True, check=True)
+        command = [exe] if exe else [sys.executable, "-m", "walkup"]
+        # the package's own source root, so the child imports this checkout
+        src = str(Path(walkup.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(command + ["export", "S4_6"], capture_output=True,
+                             text=True, check=True, env=env, timeout=120)
         assert fileio.parse_facets(out.stdout) == catalog.get("S4_6")

@@ -95,13 +95,24 @@ class TestBettiNumbers:
             K = catalog.get(name)
             for j in range(1, K.dim + 1):
                 m = boundary_matrix(K, j, Q)
-                assert m.rank() == int_rank_of_transpose(m)
+                # rank() eliminates the transpose; the rows must agree
+                assert int_rank(m.sparse_rows()) == m.rank() \
+                    == int_rank_of_transpose(m)
 
     def test_euler_poincare_on_catalog(self, five_complexes, four_manifolds):
         for K in list(five_complexes.values()) + list(four_manifolds.values()):
             chi = K.euler_characteristic
             for field in (GF2, Q):
                 assert betti_numbers(K, field).alternating_sum == chi
+
+    def test_800_facet_stacked_sphere_both_fields(self):
+        # 3,202 facets: large enough that pivot order decides the running time
+        S = random_stacked_sphere(4, 800, seed=1)
+        for field in (GF2, Q):
+            assert betti_numbers(S, field).values == (1, 0, 0, 0, 1)
+        ranks = {field: [boundary_matrix(S, j, field).rank() for j in range(1, 5)]
+                 for field in (GF2, Q)}
+        assert ranks[GF2] == ranks[Q]
 
     def test_gf2_poincare_duality_on_closed_manifolds(self, four_manifolds):
         for K in four_manifolds.values():

@@ -1,20 +1,20 @@
 """Cross-validation of the optimized kernels against naive reference code.
 
-The implementations under test use packed bit rows, sparse integer
-elimination and a pruned backtracking search; the oracles here are the
-slowest possible versions of the same questions (dense list elimination,
-all-permutations enumeration), so any pruning or packing bug shows up as a
-disagreement.
+The implementations under test use heap-ordered sparse elimination and a
+pruned backtracking search; the oracles here are the slowest possible
+versions of the same questions (dense list elimination, all-permutations
+enumeration), so any pivoting or pruning bug shows up as a disagreement.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from walkup import GF2, Q, Complex, betti_numbers, boundary_matrix, catalog
 from walkup.generators import random_stacked_ball, random_stacked_sphere
+from walkup.linalg import gf2_rank, int_rank
 from walkup.symmetry import automorphism_group, group_elements
 
 ORACLE_SEED = 424242
@@ -95,6 +95,38 @@ def small_pure_complexes(draw):
     K = Complex(facets)
     # densify so the automorphism search accepts the complex
     return K.relabeled({v: i for i, v in enumerate(K.vertices)})
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """Dense rows with entries in -3..3, plus zero rows and repeated rows.
+
+    Entries other than +-1 force non-unit pivots, gcd row scaling and
+    content division, which the +-1 boundary matrices barely reach; zero
+    and repeated rows must eliminate to nothing.
+    """
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    entries = st.lists(st.integers(min_value=-3, max_value=3),
+                       min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(entries, min_size=1, max_size=6))
+    rows += [list(r) for r in draw(st.lists(st.sampled_from(rows), max_size=3))]
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows))
+
+
+class TestRanksAgainstNaiveElimination:
+    @settings(max_examples=300)
+    @given(small_integer_matrices())
+    def test_int_rank(self, rows):
+        # zero entries are passed through: the front end must drop them
+        assert int_rank([dict(enumerate(r)) for r in rows]) \
+            == naive_rank_rational(rows)
+
+    @settings(max_examples=300)
+    @given(small_integer_matrices())
+    def test_gf2_rank(self, rows):
+        packed = [sum(1 << c for c, v in enumerate(r) if v % 2) for r in rows]
+        assert gf2_rank(packed) == naive_rank_mod2(rows)
 
 
 class TestHomologyAgainstNaiveElimination:
