@@ -16,7 +16,9 @@ any set of ranks satisfies, so it could never fail.  Schema 2 reports checks
 that a wrong rank can fail instead: ``betti_Q_le_GF2`` (beta_j over Q is at
 most beta_j over GF(2) for every j, when both fields are computed) and
 ``poincare_duality_GF2`` (beta_j = beta_{d-j} over GF(2) on closed, connected
-K(d) members, which are manifolds).
+K(d) members, which are manifolds).  For the same reason ``homology`` exits
+1 when beta_0 differs from the number of connected components over either
+field, or when beta_j over Q exceeds beta_j over GF(2) for some j.
 """
 
 from __future__ import annotations
@@ -374,14 +376,15 @@ def cmd_homology(args) -> int:
     except (DomainError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    fv = K.f_vector()
+    betti = {field: list(homology.betti_numbers(K, field).values)
+             for field in _fields(args.field)}
     doc = {"schema": SCHEMA_VERSION, "input": identity,
-           "euler_characteristic": fv.chi, "betti": {}}
-    ok = True
-    for field in _fields(args.field):
-        values = homology.betti_numbers(K, field)
-        doc["betti"][field] = list(values.values)
-        ok = ok and values.alternating_sum == fv.chi
+           "euler_characteristic": K.f_vector().chi, "betti": betti}
+    components = len(K.vertex_components())
+    ok = all(values[0] == components for values in betti.values())
+    if homology.GF2 in betti and homology.Q in betti:
+        ok = ok and all(q <= g for q, g in zip(betti[homology.Q],
+                                               betti[homology.GF2]))
     _emit(_json(doc), args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 

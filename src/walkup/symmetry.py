@@ -1,18 +1,22 @@
 """Automorphism groups of pure simplicial complexes.
 
 A permutation is the tuple of images of the dense vertex ids 0..n-1.  The
-search maps vertices to vertices by backtracking with
-individualization-refinement: vertices start colored by invariants built
-from higher-order structure (facet degree, link face vector, and the
-multiset of edge-link face vectors and co-degree profiles over the other
-vertices), the coloring is refined to a fixed point, and branching assigns
-one vertex of the rarest color class at a time.  The catalog complexes are
-2-neighborly, so the 1-skeleton is complete and plain degrees are useless;
-the pair invariants are what make the search near-linear there.
+search maps vertices to vertices by individualization-refinement: vertices
+start colored by invariants built from higher-order structure (facet
+degree, link face vector, and the multiset of edge-link face vectors and
+co-degree profiles over the other vertices), the coloring is refined to a
+fixed point, and branching assigns one vertex of the rarest color class at
+a time.  The catalog complexes are 2-neighborly, so the 1-skeleton is
+complete and plain degrees are useless; the pair invariants are what make
+the search near-linear there.
 
-Every candidate reaching a leaf is verified against the facet set, and the
-collected automorphisms are closed under composition as a final self-check,
-so pruning bugs cannot produce a wrong group silently.
+No group element is enumerated.  The search is pruned by the automorphisms
+already found (McKay and Piperno, "Practical graph isomorphism, II", 2014):
+it returns a generating set and takes the order as the product of the
+base-point orbit lengths along the stabilizer chain (Seress, "Permutation
+Group Algorithms", 2003).  Every generator is verified against the facet
+set at the leaf that produced it, so a refinement bug cannot report a
+non-automorphism.  ``group_elements`` expands the generators on demand.
 """
 
 from __future__ import annotations
@@ -194,56 +198,110 @@ def group_closure(generators, n: int) -> frozenset[Perm]:
     return frozenset(elems)
 
 
-def _enumerate_automorphisms(K: Complex, n: int) -> list[Perm]:
+def _individualize(dom: list[int], cod: list[int], v: int, w: int,
+                   pinv: list[list[int]], n: int):
+    """Give v (domain) and w (codomain) one fresh color, then refine."""
+    dom = list(dom)
+    cod = list(cod)
+    dom[v] = cod[w] = n  # interned colors live in [0, n), so n is unused
+    return _refine_pair(dom, cod, pinv, n)
+
+
+def _target(colors: list[int], n: int) -> tuple[int, int] | None:
+    """Base point and its color: least vertex of the smallest non-singleton
+    class, or None when the coloring is discrete."""
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(colors[v], []).append(v)
+    multi = [(len(vs), vs[0], c) for c, vs in classes.items() if len(vs) > 1]
+    if not multi:
+        return None
+    _, v, color = min(multi)
+    return v, color
+
+
+def _orbit(v: int, generators: list[Perm]) -> set[int]:
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        frontier = [g[x] for x in frontier for g in generators
+                    if g[x] not in orbit]
+        orbit.update(frontier)
+    return orbit
+
+
+def _search(K: Complex, n: int) -> tuple[int, list[Perm]]:
+    """Order and generators of Aut(K) by an orbit-pruned search.
+
+    The first individualize-and-refine path, always taking the least vertex
+    of the target cell, ends in the identity.  Its base points v_0, v_1, ...
+    define the stabilizer chain G_0 >= G_1 >= ...; every automorphism of G_i
+    maps v_i into the target cell of level i.  Levels are visited from the
+    deepest up, and by induction the generators found so far generate
+    G_{i+1}.  A cell point w already in their orbit of v_i needs no search;
+    for any other w one automorphism of the subtree (v_i -> w) is sought
+    and, when it exists, becomes a generator.  The orbit of v_i then equals
+    the G_i-orbit, and |G_i| = |orbit of v_i| * |G_{i+1}|.
+    """
     facets = [tuple(f) for f in K.facets]
     facet_set = {frozenset(f) for f in facets}
     pinv = _pair_invariants(K, n)
     base = _initial_colors(K, n, pinv)
-    refined = _refine_pair(list(base), list(base), pinv, n)
-    assert refined is not None  # identical colorings cannot diverge
-    found: set[Perm] = set()
+    colors = _refine_pair(list(base), list(base), pinv, n)[0]
 
-    def descend(dom: list[int], cod: list[int]) -> None:
-        classes: dict[int, tuple[list[int], list[int]]] = {}
-        for v in range(n):
-            classes.setdefault(dom[v], ([], []))[0].append(v)
+    def first_automorphism(dom: list[int], cod: list[int]) -> Perm | None:
+        step = _target(dom, n)
+        if step is None:
+            # discrete: both colorings are permutations of 0..n-1
+            at = [0] * n
+            for w in range(n):
+                at[cod[w]] = w
+            p = tuple(at[c] for c in dom)
+            ok = all(frozenset(p[v] for v in f) in facet_set for f in facets)
+            return p if ok else None
+        v, color = step
         for w in range(n):
-            classes.setdefault(cod[w], ([], []))[1].append(w)
-        multi = [(len(dvs), min(dvs), c)
-                 for c, (dvs, cws) in classes.items() if len(dvs) > 1]
-        if not multi:
-            perm = [0] * n
-            for dvs, cws in classes.values():
-                perm[dvs[0]] = cws[0]
-            p = tuple(perm)
-            if all(frozenset(p[v] for v in f) in facet_set for f in facets):
-                found.add(p)
-            return
-        _, _, color = min(multi)
-        dvs, cws = classes[color]
-        v = min(dvs)
-        fresh = n  # interned colors live in [0, n), so n is always unused
-        for w in sorted(cws):
-            dom2 = list(dom)
-            cod2 = list(cod)
-            dom2[v] = fresh
-            cod2[w] = fresh
-            result = _refine_pair(dom2, cod2, pinv, n)
-            if result is not None:
-                descend(*result)
+            if cod[w] == color:
+                child = _individualize(dom, cod, v, w, pinv, n)
+                if child is not None:
+                    p = first_automorphism(*child)
+                    if p is not None:
+                        return p
+        return None
 
-    descend(*refined)
-    return sorted(found)
+    path = []
+    while (step := _target(colors, n)) is not None:
+        path.append((colors, *step))
+        v = step[0]
+        colors = _individualize(colors, colors, v, v, pinv, n)[0]
+    order = 1
+    generators: list[Perm] = []
+    for colors, v, color in reversed(path):
+        orbit = {v}
+        for w in range(n):
+            if colors[w] != color or w in orbit:
+                continue
+            child = _individualize(colors, colors, v, w, pinv, n)
+            p = first_automorphism(*child) if child is not None else None
+            if p is not None:
+                generators.append(p)
+                orbit = _orbit(v, generators)
+        order *= len(orbit)
+    return order, generators
 
 
 @lru_cache(maxsize=128)
 def automorphism_group(K: Complex) -> GroupDescription:
     """Exact automorphism group of a pure complex with at most 64 vertices.
 
-    The returned description is deterministic: element enumeration, the
-    greedy generating set and the structure tag do not depend on hashing or
-    scheduling.  The set of collected automorphisms is verified to be closed
-    under composition before anything is reported.
+    No group element is listed: the search returns a generating set whose
+    members are each verified against the facet set at their leaf, and the
+    order is the product of the base-point orbit lengths along the
+    stabilizer chain.  The structure tag is ``Z_n`` exactly when the
+    generators commute pairwise and the lcm of their orders is the group
+    order (a finite abelian group is cyclic iff its exponent equals its
+    order).  The description is deterministic: it does not depend on
+    hashing or scheduling.
     """
     n = _require_dense(K)
     if n > AUT_VERTEX_CAP:
@@ -251,26 +309,13 @@ def automorphism_group(K: Complex) -> GroupDescription:
             f"{n} vertices exceed the automorphism search cap of {AUT_VERTEX_CAP}")
     if K.is_empty:
         raise DomainError("the empty complex has no automorphism group")
-    elements = _enumerate_automorphisms(K, n)
-    closure = group_closure(elements, n)
-    if set(elements) != closure:
-        raise RuntimeError("automorphism search returned a non-closed set; "
-                           "this is a bug")
-    order = len(elements)
-    ident = identity_permutation(n)
-    generators: list[Perm] = []
-    closed: frozenset[Perm] = frozenset([ident])
-    for p in elements:
-        if p in closed:
-            continue
-        generators.append(p)
-        closed = group_closure(generators, n)
-        if len(closed) == order:
-            break
+    order, generators = _search(K, n)
     structure = None
     if order == 1:
         structure = "Z_1"
-    elif any(permutation_order(p) == order for p in elements):
+    elif all(compose(g, h) == compose(h, g)
+             for g, h in itertools.combinations(generators, 2)) \
+            and lcm(*map(permutation_order, generators)) == order:
         structure = f"Z_{order}"
     return GroupDescription(order=order, generators=tuple(generators),
                             structure=structure)
@@ -283,10 +328,12 @@ def group_elements(K: Complex) -> frozenset[Perm]:
 
 
 def verify_aut_equality(M: Complex) -> bool:
-    """Check Aut(M) = Aut(boundary of M) as permutation sets.
+    """Check Aut(M) = Aut(boundary of M) as permutation groups.
 
     ``M`` must be a member of Kbar of dimension at least 5; its boundary
-    shares the vertex set, so both groups act on the same points.
+    shares the vertex set, so both groups act on the same points.  The two
+    orders must agree and each group's generators must preserve the other
+    complex's facets; no element set is expanded.
     """
     if M.dim < 5:
         raise DomainError("automorphism equality check needs dimension >= 5")
@@ -295,4 +342,7 @@ def verify_aut_equality(M: Complex) -> bool:
     boundary = M.boundary_complex()
     if boundary.vertices != M.vertices:
         return False
-    return group_elements(M) == group_elements(boundary)
+    mine, theirs = automorphism_group(M), automorphism_group(boundary)
+    return mine.order == theirs.order \
+        and all(is_automorphism(boundary, g) for g in mine.generators) \
+        and all(is_automorphism(M, g) for g in theirs.generators)

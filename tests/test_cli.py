@@ -228,6 +228,26 @@ class TestExportHomologyAut:
         assert doc["betti"]["Q"] == [1, 8, 0, 8, 1]
         assert doc["euler_characteristic"] == -14
 
+    # both vectors keep the alternating sum at chi = -14, so only the
+    # component count and the Q <= GF(2) comparison can catch them
+    @pytest.mark.parametrize("field, bad", [
+        (homology.GF2, (2, 9, 0, 8, 1)),  # beta_0 != number of components
+        (homology.Q, (1, 9, 1, 8, 1)),    # beta_1(Q) > beta_1(GF2)
+    ])
+    def test_homology_bad_betti_is_a_mismatch(self, capsys, monkeypatch,
+                                              field, bad):
+        real = homology.betti_numbers
+
+        def corrupt(K, f=homology.GF2):
+            if homology.normalize_field(f) == field:
+                return homology.BettiVector(field=field, values=bad)
+            return real(K, f)
+
+        monkeypatch.setattr(homology, "betti_numbers", corrupt)
+        code, doc, _ = run_json(capsys, "homology", "M4_21")
+        assert code == EXIT_MISMATCH
+        assert doc["betti"][field] == list(bad)
+
     def test_aut_command(self, capsys):
         code, doc, _ = run_json(capsys, "aut", "B5_26")
         assert code == 0

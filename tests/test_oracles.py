@@ -7,17 +7,22 @@ enumeration), so any pivoting or pruning bug shows up as a disagreement.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from walkup import GF2, Q, Complex, betti_numbers, boundary_matrix, catalog
-from walkup.generators import random_stacked_ball, random_stacked_sphere
+from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
+                               random_stacked_sphere, standard_sphere)
 from walkup.linalg import gf2_rank, int_rank
-from walkup.symmetry import automorphism_group, group_elements
+from walkup.symmetry import (_initial_colors, _pair_invariants, _refine_pair,
+                             automorphism_group, group_elements)
 
 ORACLE_SEED = 424242
+CATALOG_COMPLEXES = ("A5_21", "A5_41", "B5_21", "B5_26", "M4_21", "M4_41",
+                     "N4_21", "N4_26", "S4_6")
 
 
 def naive_rank_mod2(rows: list[list[int]]) -> int:
@@ -83,6 +88,51 @@ def naive_automorphisms(K) -> frozenset:
     for p in itertools.permutations(range(n)):
         if all(frozenset(p[v] for v in f) in facet_set for f in K.facets):
             found.append(p)
+    return frozenset(found)
+
+
+def enumerated_automorphisms(K) -> frozenset:
+    """Every automorphism, one leaf at a time, with no pruning by the group.
+
+    Same invariants and refinement as the library search, but the search
+    tree is walked to every leaf and each leaf is checked against the facet
+    set, so orbit pruning and the order-from-orbits bookkeeping play no part.
+    """
+    n = K.num_vertices
+    facets = [tuple(f) for f in K.facets]
+    facet_set = {frozenset(f) for f in facets}
+    pinv = _pair_invariants(K, n)
+    base = _initial_colors(K, n, pinv)
+    refined = _refine_pair(list(base), list(base), pinv, n)
+    found = set()
+
+    def descend(dom, cod):
+        classes = {}
+        for v in range(n):
+            classes.setdefault(dom[v], ([], []))[0].append(v)
+        for w in range(n):
+            classes.setdefault(cod[w], ([], []))[1].append(w)
+        multi = [(len(dvs), min(dvs), c)
+                 for c, (dvs, cws) in classes.items() if len(dvs) > 1]
+        if not multi:
+            perm = [0] * n
+            for dvs, cws in classes.values():
+                perm[dvs[0]] = cws[0]
+            p = tuple(perm)
+            if all(frozenset(p[v] for v in f) in facet_set for f in facets):
+                found.add(p)
+            return
+        _, _, color = min(multi)
+        dvs, cws = classes[color]
+        v = min(dvs)
+        for w in sorted(cws):
+            dom2, cod2 = list(dom), list(cod)
+            dom2[v] = cod2[w] = n
+            result = _refine_pair(dom2, cod2, pinv, n)
+            if result is not None:
+                descend(*result)
+
+    descend(*refined)
     return frozenset(found)
 
 
@@ -309,3 +359,25 @@ class TestAutomorphismsAgainstFullEnumeration:
         S = catalog.get("standard_sphere(3)")
         assert group_elements(S) == naive_automorphisms(S)
         assert automorphism_group(S).order == 120
+
+    def test_enumeration_oracle_matches_brute_force(self):
+        for K in (standard_sphere(2), cross_polytope_boundary(3),
+                  Complex([(0, 1), (2, 3), (3, 4)])):
+            assert enumerated_automorphisms(K) == naive_automorphisms(K)
+
+    def test_catalog_against_unpruned_search(self):
+        complexes = [catalog.get(name) for name in CATALOG_COMPLEXES]
+        complexes += [cross_polytope_boundary(3), cross_polytope_boundary(4)]
+        for K in complexes:
+            assert group_elements(K) == enumerated_automorphisms(K)
+
+    def test_symmetric_group_orders(self):
+        for d in range(9):
+            assert automorphism_group(standard_sphere(d)).order \
+                == math.factorial(d + 2), d
+
+    def test_hyperoctahedral_group_orders(self):
+        # cross_polytope_boundary(d) has d antipodal pairs: order 2^d * d!
+        for d in range(1, 6):
+            assert automorphism_group(cross_polytope_boundary(d)).order \
+                == 2 ** d * math.factorial(d), d

@@ -1,18 +1,24 @@
 """Automorphism search: prescribed actions, full groups, relabeling behavior."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from walkup import (CapacityError, Complex, DomainError, catalog,
-                    automorphism_group, group_closure, group_elements,
-                    is_automorphism, verify_aut_equality)
+from walkup import (CapacityError, Complex, DomainError, GroupDescription,
+                    automorphism_group, catalog, group_closure, group_elements,
+                    is_automorphism, symmetry, verify_aut_equality)
 from walkup.catalog import presentation
 from walkup.construct import orbit_shift_permutation
 from walkup.generators import random_stacked_ball, standard_sphere
 from walkup.symmetry import compose, inverse, permutation_order
 
 RELABEL_SEED = 90125
+# automorphism_group(K).to_dict() for the nine catalog complexes, as
+# reported by the element-enumerating search this one replaced
+PINNED_GROUPS = json.loads(
+    (Path(__file__).parent / "aut_catalog.json").read_text())
 
 
 def random_permutation(n, rng):
@@ -118,6 +124,46 @@ class TestAutomorphismGroup:
         assert desc.structure == "Z_1"
         assert desc.generators == ()
 
+    def test_abelian_but_not_cyclic(self):
+        # swap of the lone edge times reflection of the path: Z_2 x Z_2
+        desc = automorphism_group(Complex([(0, 1), (2, 3), (3, 4)]))
+        assert desc.order == 4
+        assert desc.structure is None
+
+    def test_non_abelian_catalog_group(self):
+        desc = automorphism_group(catalog.get("S4_6"))
+        assert desc.order == 720
+        assert desc.structure is None
+
+    def test_non_abelian_despite_exponent_equal_to_order(self):
+        # a ring of three triangles: S_3, generated by an involution and a
+        # 3-cycle that do not commute, so lcm 6 alone would claim Z_6
+        desc = automorphism_group(Complex([(0, 1, 3), (1, 4, 5), (2, 3, 4)]))
+        assert desc.order == 6
+        assert sorted(map(permutation_order, desc.generators)) == [2, 3]
+        assert desc.structure is None
+
+    @pytest.mark.parametrize("name", sorted(PINNED_GROUPS))
+    def test_reported_group_is_pinned(self, name):
+        K = catalog.get(name)
+        desc = automorphism_group(K)
+        assert desc.to_dict() == PINNED_GROUPS[name]
+        assert all(is_automorphism(K, g) for g in desc.generators)
+
+    def test_refinement_work_is_bounded(self, monkeypatch):
+        real = symmetry._refine_pair
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(symmetry, "_refine_pair", counting)
+        K = catalog.get("M4_41")
+        automorphism_group.cache_clear()
+        assert automorphism_group(K).order == 41
+        assert len(calls) <= 10
+
     def test_determinism_across_recomputation(self):
         K = catalog.get("B5_26")
         first = automorphism_group(K).to_dict()
@@ -168,6 +214,25 @@ class TestAutEquality:
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             verify_aut_equality(standard_sphere(3))
+
+    def test_equal_orders_alone_do_not_pass(self, monkeypatch):
+        # report the boundary's group conjugated by the swap (0 1): same
+        # order, but its generator no longer preserves the facets of M
+        M = catalog.get("A5_21")
+        boundary = M.boundary_complex()
+        swap = (1, 0) + tuple(range(2, M.num_vertices))
+        real = symmetry.automorphism_group
+
+        def conjugated(K):
+            desc = real(K)
+            if K != boundary:
+                return desc
+            gens = tuple(compose(swap, compose(g, swap))
+                         for g in desc.generators)
+            return GroupDescription(desc.order, gens, desc.structure)
+
+        monkeypatch.setattr(symmetry, "automorphism_group", conjugated)
+        assert not verify_aut_equality(M)
 
 
 class TestPermutationHelpers:
