@@ -138,27 +138,29 @@ def in_walkup_class(K: Complex, variant: str) -> bool:
     """Membership in K(d), Kbar(d) or Kstar(d) by checking every vertex link.
 
     ``K``: all vertex links are stacked (d-1)-spheres.  ``Kbar``: all vertex
-    links are stacked (d-1)-balls.  ``Kstar``: ``K`` plus 2-neighborly.
+    links are stacked (d-1)-balls.  ``Kstar``: ``K`` plus 2-neighborly.  Each
+    verdict is memoized on the complex, and ``Kstar`` reuses the ``K`` one.
     """
     if variant not in WALKUP_VARIANTS:
         raise DomainError(f"unknown Walkup variant {variant!r}; "
                           f"expected one of {WALKUP_VARIANTS}")
     if K.dim < 2:
         raise DomainError("Walkup class test needs dimension >= 2")
+    return K._memo(("walkup", variant), lambda: _walkup_verdict(K, variant))
+
+
+def _walkup_verdict(K: Complex, variant: str) -> bool:
     if variant == "Kstar":
         return K.is_neighborly(2) and in_walkup_class(K, "K")
-    for v in K.vertices:
-        link = K.link(v)
-        if variant == "Kbar":
-            if not is_stacked_ball(link):
-                return False
-        else:
-            try:
-                if not is_stacked_sphere(link):
-                    return False
-            except DomainError:
-                return False  # link not closed, so not a sphere
-    return True
+    stacked = is_stacked_ball if variant == "Kbar" else _is_stacked_sphere_link
+    return all(stacked(K.link(v)) for v in K.vertices)
+
+
+def _is_stacked_sphere_link(link: Complex) -> bool:
+    try:
+        return is_stacked_sphere(link)
+    except DomainError:
+        return False  # link not closed, so not a sphere
 
 
 def cone(K: Complex) -> Complex:
@@ -261,18 +263,10 @@ def check_lower_bounds(K: Complex, beta1: int, *, verify_links: bool = False) ->
         entries.append(BoundEntry(j=j, bound=bound, actual=fv[j]))
     manifoldness = "asserted by caller"
     if verify_links:
-        ok = True
-        for v in K.vertices:
-            link = K.link(v)
-            try:
-                if not is_stacked_sphere(link):
-                    ok = False
-                    break
-            except DomainError:
-                ok = False
-                break
+        # the boundary of a simplex is itself a stacked sphere, so this is
+        # the K(d) membership test
         manifoldness = ("verified: all vertex links are stacked spheres"
-                        if ok else "unverified manifoldness")
+                        if in_walkup_class(K, "K") else "unverified manifoldness")
     return BoundReport(
         dimension=d,
         beta1=beta1,

@@ -85,8 +85,14 @@ def _fields(arg: str) -> list[str]:
     return [homology.normalize_field(arg)]
 
 
-def _is_dense(K: Complex) -> bool:
-    return K.vertices == tuple(range(K.num_vertices))
+def _automorphisms(K: Complex) -> dict:
+    """Aut(K) on dense vertex ids as a report entry, or the capacity skip."""
+    try:
+        if K.vertices != tuple(range(K.num_vertices)):
+            K = K.relabeled({v: i for i, v in enumerate(K.vertices)})
+        return symmetry.automorphism_group(K).to_dict()
+    except CapacityError as exc:
+        return {"skipped": str(exc)}
 
 
 def cmd_verify(args) -> int:
@@ -98,17 +104,9 @@ def cmd_verify(args) -> int:
         timing[name] = round(time.perf_counter() - t0, 6)
         return value
 
-    try:
-        K, identity = _resolve_complex(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DomainError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    K, identity = _resolve_complex(args.input)
     if K.is_empty:
-        print("input error: the complex has no facets", file=sys.stderr)
-        return EXIT_INPUT
+        raise DomainError("the complex has no facets")
 
     report: dict = {"schema": SCHEMA_VERSION, "input": identity,
                     "seed": args.seed}
@@ -158,15 +156,7 @@ def cmd_verify(args) -> int:
         orientable = stage("orientability", lambda: homology.is_orientable(K))
     report["orientable"] = orientable
 
-    capacity_skips = []
-    try:
-        target = K if _is_dense(K) else K.relabeled(
-            {v: i for i, v in enumerate(K.vertices)})
-        desc = stage("automorphisms", lambda: symmetry.automorphism_group(target))
-        report["automorphisms"] = desc.to_dict()
-    except CapacityError as exc:
-        report["automorphisms"] = {"skipped": str(exc)}
-        capacity_skips.append("automorphisms")
+    report["automorphisms"] = stage("automorphisms", lambda: _automorphisms(K))
 
     if K.dim >= 3 and props.get("closed") and props["connected"] \
             and homology.GF2 in betti:
@@ -210,7 +200,7 @@ def cmd_verify(args) -> int:
         _emit(_verify_text(report), args.out)
     else:
         _emit(_json(report), args.out)
-    if capacity_skips and args.strict:
+    if "skipped" in report["automorphisms"] and args.strict:
         return EXIT_CAPACITY
     return EXIT_OK if all(consistency.values()) else EXIT_MISMATCH
 
@@ -318,14 +308,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        family = fileio.parse_tree_family(_read_input_text(args.family))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    family = fileio.parse_tree_family(_read_input_text(args.family))
     report = construct.verify_hypotheses(family)
     if not report.passed:
         print("construction hypotheses failed:", file=sys.stderr)
@@ -337,14 +320,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        K, _ = _resolve_complex(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DomainError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    K, _ = _resolve_complex(args.input)
     try:
         family = construct.tree_family_from_complex(K)
     except DomainError as exc:
@@ -355,11 +331,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        obj = catalog.get(args.name)
-    except DomainError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    obj = catalog.get(args.name)
     if isinstance(obj, Complex):
         _emit(fileio.format_facets(obj), args.out)
     else:
@@ -368,14 +340,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    try:
-        K, identity = _resolve_complex(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DomainError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    K, identity = _resolve_complex(args.input)
     betti = {field: list(homology.betti_numbers(K, field).values)
              for field in _fields(args.field)}
     doc = {"schema": SCHEMA_VERSION, "input": identity,
@@ -390,24 +355,12 @@ def cmd_homology(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    try:
-        K, identity = _resolve_complex(args.input)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DomainError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    doc = {"schema": SCHEMA_VERSION, "input": identity}
-    try:
-        target = K if _is_dense(K) else K.relabeled(
-            {v: i for i, v in enumerate(K.vertices)})
-        doc["automorphisms"] = symmetry.automorphism_group(target).to_dict()
-    except CapacityError as exc:
-        doc["automorphisms"] = {"skipped": str(exc)}
-        _emit(_json(doc), args.out)
-        return EXIT_CAPACITY if args.strict else EXIT_OK
+    K, identity = _resolve_complex(args.input)
+    doc = {"schema": SCHEMA_VERSION, "input": identity,
+           "automorphisms": _automorphisms(K)}
     _emit(_json(doc), args.out)
+    if "skipped" in doc["automorphisms"] and args.strict:
+        return EXIT_CAPACITY
     return EXIT_OK
 
 
@@ -478,8 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Every input failure exits with ``EXIT_INPUT``:
+    a malformed file as ``parse error: ...``, and a missing file, an unknown
+    name or an input outside a command's domain as ``input error: ...``."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except (DomainError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

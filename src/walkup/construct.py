@@ -275,22 +275,14 @@ def basic_facets_from_strings(rows: Iterable[str]) -> tuple[tuple[Label, ...], .
 
 def expand_orbit(presentation: OrbitPresentation) -> Complex:
     """Apply every shift of the cyclic group to the basic facets."""
-    m = presentation.order
-    facets = set()
-    for facet in presentation.basic_facets:
-        for shift in range(m):
-            shifted = tuple(
-                presentation.vertex_id((cls, (idx + shift) % m))
-                for cls, idx in facet)
-            if len(set(shifted)) != len(shifted):
-                raise DomainError(
-                    f"facet {facet} collapses under shift {shift}")
-            facets.add(tuple(sorted(shifted)))
-    return Complex(facets)
+    return Complex(expand_orbit_labeled(presentation).values())
 
 
 def expand_orbit_labeled(presentation: OrbitPresentation) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Expansion keyed by (basic facet position, shift), for structure checks."""
+    """Expansion keyed by (basic facet position, shift), for structure checks.
+
+    Raises ``DomainError`` when a shifted facet repeats a vertex.
+    """
     m = presentation.order
     out = {}
     for b, facet in enumerate(presentation.basic_facets):
@@ -298,6 +290,9 @@ def expand_orbit_labeled(presentation: OrbitPresentation) -> dict[tuple[int, int
             shifted = tuple(sorted(
                 presentation.vertex_id((cls, (idx + shift) % m))
                 for cls, idx in facet))
+            if len(set(shifted)) != len(shifted):
+                raise DomainError(
+                    f"facet {facet} collapses under shift {shift}")
             out[(b, shift)] = shifted
     return out
 

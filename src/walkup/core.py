@@ -4,8 +4,12 @@ A vertex is a non-negative integer.  A face is the strictly increasing tuple
 of its vertices; the sorted tuple is the canonical form used everywhere
 (container ordering, matrix indexing, file output), so all derived data is
 deterministic.  Complexes are immutable after construction and safe to share
-between threads; internal per-dimension face caches are filled lazily but
-idempotently.
+between threads.  Derived facts (face tables, ridge incidence, Betti
+numbers, orientability, class membership, the automorphism group) are
+memoized per instance: every entry is a deterministic function of the
+facets and is written with ``dict.setdefault``, so threads that race on one
+entry compute equal values and all of them return the one that was stored.
+Equal but distinct instances keep separate memos.
 
 ``Complex`` is the pure case (all maximal faces of equal dimension) and
 carries the geometric operations: links, stars, skeletons, boundary.
@@ -70,11 +74,13 @@ class FaceVector:
 class GeneralComplex:
     """Simplicial complex given by its maximal faces, possibly of mixed dimension."""
 
-    __slots__ = ("_maximal", "_dim", "_vertices", "_faces_cache", "_hash")
+    __slots__ = ("_maximal", "_dim", "_vertices", "_facts", "_hash")
 
     def __init__(self, maximal_faces: Iterable[Iterable[int]]):
-        canon = {as_face(f) for f in maximal_faces}
-        maximal = self._drop_non_maximal(canon)
+        self._init(self._drop_non_maximal({as_face(f) for f in maximal_faces}))
+
+    def _init(self, maximal: tuple[Face, ...]) -> None:
+        """Shared initialiser: store canonical maximal faces, derive the rest."""
         object.__setattr__(self, "_maximal", maximal)
         object.__setattr__(self, "_dim",
                            max((len(f) for f in maximal), default=0) - 1)
@@ -82,8 +88,19 @@ class GeneralComplex:
         for f in maximal:
             verts.update(f)
         object.__setattr__(self, "_vertices", tuple(sorted(verts)))
-        object.__setattr__(self, "_faces_cache", {})
+        object.__setattr__(self, "_facts", {})
         object.__setattr__(self, "_hash", None)
+
+    def _memo(self, key, compute):
+        """The memoized fact ``key``, computed by ``compute()`` on first use.
+
+        Package-internal.  A ``compute`` that raises stores nothing, so a
+        rejected input is rejected again on the next call.
+        """
+        try:
+            return self._facts[key]
+        except KeyError:
+            return self._facts.setdefault(key, compute())
 
     # slots on a non-dataclass: block accidental attribute writes
     def __setattr__(self, name, value):
@@ -134,22 +151,16 @@ class GeneralComplex:
         """All j-dimensional faces, sorted; j must lie in [0, dim]."""
         if not 0 <= j <= self._dim:
             raise DomainError(f"face dimension {j} out of range [0, {self._dim}]")
-        cached = self._faces_cache.get(j)
-        if cached is None:
-            found: set[Face] = set()
-            k = j + 1
-            for f in self._maximal:
-                if len(f) == k:
-                    found.add(f)
-                elif len(f) > k:
-                    found.update(itertools.combinations(f, k))
-            cached = tuple(sorted(found))
-            self._faces_cache[j] = cached
-        return cached
+        return self._memo(("faces", j), lambda: self._enumerate_faces(j + 1))
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        fs = set(face if isinstance(face, tuple) else as_face(face))
-        return any(fs <= set(m) for m in self._maximal)
+    def _enumerate_faces(self, k: int) -> tuple[Face, ...]:
+        found: set[Face] = set()
+        for f in self._maximal:
+            if len(f) == k:
+                found.add(f)
+            elif len(f) > k:
+                found.update(itertools.combinations(f, k))
+        return tuple(sorted(found))
 
     def f_vector(self) -> FaceVector:
         """Face counts per dimension; raises on the empty complex."""
@@ -228,7 +239,7 @@ class GeneralComplex:
 class Complex(GeneralComplex):
     """Pure simplicial complex: every maximal face (facet) has dimension ``dim``."""
 
-    __slots__ = ("_ridges",)
+    __slots__ = ()
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         canon = {as_face(f) for f in facets}
@@ -236,16 +247,7 @@ class Complex(GeneralComplex):
         if len(sizes) > 1:
             raise DomainError(f"facets of unequal dimension: sizes {sorted(sizes)}")
         # equal-size faces are automatically maximal; skip the subset scan
-        maximal = tuple(sorted(canon))
-        object.__setattr__(self, "_maximal", maximal)
-        object.__setattr__(self, "_dim", (sizes.pop() - 1) if sizes else -1)
-        verts: set[int] = set()
-        for f in maximal:
-            verts.update(f)
-        object.__setattr__(self, "_vertices", tuple(sorted(verts)))
-        object.__setattr__(self, "_faces_cache", {})
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ridges", None)
+        self._init(tuple(sorted(canon)))
 
     @property
     def facets(self) -> tuple[Face, ...]:
@@ -257,15 +259,14 @@ class Complex(GeneralComplex):
 
     def ridge_incidence(self) -> dict[Face, tuple[int, ...]]:
         """Map each (dim-1)-face to the sorted indices of facets containing it."""
-        cached = self._ridges
-        if cached is None:
-            inc: dict[Face, list[int]] = {}
-            for i, f in enumerate(self._maximal):
-                for ridge in itertools.combinations(f, len(f) - 1):
-                    inc.setdefault(ridge, []).append(i)
-            cached = {r: tuple(ix) for r, ix in inc.items()}
-            object.__setattr__(self, "_ridges", cached)
-        return cached
+        return self._memo("ridge_incidence", self._incidence)
+
+    def _incidence(self) -> dict[Face, tuple[int, ...]]:
+        inc: dict[Face, list[int]] = {}
+        for i, f in enumerate(self._maximal):
+            for ridge in itertools.combinations(f, len(f) - 1):
+                inc.setdefault(ridge, []).append(i)
+        return {r: tuple(ix) for r, ix in inc.items()}
 
     def star(self, v: int) -> "Complex":
         """Subcomplex of all facets containing the vertex v."""

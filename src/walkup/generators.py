@@ -6,6 +6,7 @@ runs are reproducible and no shared RNG state exists.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 
@@ -17,12 +18,31 @@ def _rng(seed: int | random.Random) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def _free_ridges(facets: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    count: dict[tuple[int, ...], int] = {}
-    for f in facets:
-        for ridge in itertools.combinations(f, len(f) - 1):
-            count[ridge] = count.get(ridge, 0) + 1
-    return sorted(r for r, c in count.items() if c == 1)
+class _Ridges:
+    """Ridge counts of a growing facet set, with the free ridges (those in
+    exactly one facet) kept as a sorted list, so that ``rng.choice`` draws
+    from the same sequence as a full rescan would give."""
+
+    def __init__(self, facet: tuple[int, ...]):
+        self.count: dict[tuple[int, ...], int] = {}
+        self.free: list[tuple[int, ...]] = []
+        self.add(facet)
+
+    def add(self, facet: tuple[int, ...]) -> None:
+        """Record a facet that is not yet in the set."""
+        for ridge in itertools.combinations(facet, len(facet) - 1):
+            c = self.count.get(ridge, 0) + 1
+            self.count[ridge] = c
+            if c == 1:
+                bisect.insort(self.free, ridge)
+            elif c == 2:
+                del self.free[bisect.bisect_left(self.free, ridge)]
+
+    def neighbors(self, facet: tuple[int, ...]) -> int:
+        """Facets sharing a ridge with ``facet``, which is not in the set;
+        two distinct facets share at most one ridge."""
+        return sum(self.count.get(ridge, 0)
+                   for ridge in itertools.combinations(facet, len(facet) - 1))
 
 
 def random_stacked_ball(dim: int, num_facets: int,
@@ -31,11 +51,14 @@ def random_stacked_ball(dim: int, num_facets: int,
     if dim < 1 or num_facets < 1:
         raise DomainError("need dim >= 1 and at least one facet")
     rng = _rng(seed)
-    facets = {tuple(range(dim + 1))}
+    facets = [tuple(range(dim + 1))]
+    ridges = _Ridges(facets[0])
     next_vertex = dim + 1
     while len(facets) < num_facets:
-        ridge = rng.choice(_free_ridges(facets))
-        facets.add(tuple(sorted(ridge + (next_vertex,))))
+        # the apex is fresh and the largest id, so the facet is new and sorted
+        facet = rng.choice(ridges.free) + (next_vertex,)
+        facets.append(facet)
+        ridges.add(facet)
         next_vertex += 1
     return Complex(facets)
 
@@ -60,28 +83,27 @@ def random_tree_complex(dim: int, num_facets: int,
     if dim < 1 or num_facets < 1:
         raise DomainError("need dim >= 1 and at least one facet")
     rng = _rng(seed)
-    facets: set[tuple[int, ...]] = {tuple(range(dim + 1))}
+    first = tuple(range(dim + 1))
+    facets: set[tuple[int, ...]] = {first}
+    ridges = _Ridges(first)
     vertices = set(range(dim + 1))
     next_vertex = dim + 1
     while len(facets) < num_facets:
-        ridge = rng.choice(_free_ridges(facets))
+        ridge = rng.choice(ridges.free)
         new_facet = None
         if rng.random() >= fresh_vertex_prob:
             pool = sorted(vertices - set(ridge))
             rng.shuffle(pool)
             for v in pool[:8]:  # bounded retries, then fall back to a fresh vertex
                 cand = tuple(sorted(ridge + (v,)))
-                if cand in facets:
-                    continue
-                cset = set(cand)
-                neighbors = sum(1 for f in facets if len(cset & set(f)) == dim)
-                if neighbors == 1:
+                if cand not in facets and ridges.neighbors(cand) == 1:
                     new_facet = cand
                     break
         if new_facet is None:
-            new_facet = tuple(sorted(ridge + (next_vertex,)))
+            new_facet = ridge + (next_vertex,)
             next_vertex += 1
         facets.add(new_facet)
+        ridges.add(new_facet)
         vertices.update(new_facet)
     return Complex(facets)
 

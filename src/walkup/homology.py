@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import classify
 from .core import Complex, GeneralComplex
@@ -142,8 +141,15 @@ class BettiVector:
         return len(self.values)
 
 
-@lru_cache(maxsize=128)
-def _betti_cached(K: GeneralComplex, field: str) -> BettiVector:
+def betti_numbers(K: GeneralComplex, field: str = GF2) -> BettiVector:
+    """Betti numbers by exact elimination: beta_j = dim ker d_j - rank d_{j+1}."""
+    if K.is_empty:
+        raise DomainError("the empty complex has no Betti numbers")
+    field = normalize_field(field)
+    return K._memo(("betti", field), lambda: _betti(K, field))
+
+
+def _betti(K: GeneralComplex, field: str) -> BettiVector:
     d = K.dim
     counts = [len(K.faces(j)) for j in range(d + 1)]
     ranks = [0] * (d + 2)  # rank of boundary_j; 0 for j=0 and j=d+1
@@ -151,13 +157,6 @@ def _betti_cached(K: GeneralComplex, field: str) -> BettiVector:
         ranks[j] = boundary_matrix(K, j, field).rank()
     values = tuple(counts[j] - ranks[j] - ranks[j + 1] for j in range(d + 1))
     return BettiVector(field=field, values=values)
-
-
-def betti_numbers(K: GeneralComplex, field: str = GF2) -> BettiVector:
-    """Betti numbers by exact elimination: beta_j = dim ker d_j - rank d_{j+1}."""
-    if K.is_empty:
-        raise DomainError("the empty complex has no Betti numbers")
-    return _betti_cached(K, normalize_field(field))
 
 
 def _oriented_adjacency(K: Complex):
@@ -175,16 +174,20 @@ def _oriented_adjacency(K: Complex):
     return out
 
 
-def is_orientable(K: Complex, *, cross_check: bool = False) -> bool:
+def is_orientable(K: Complex) -> bool:
     """Propagate facet orientations across the dual graph.
 
     Adjacent facets must induce opposite orientations on their shared ridge;
     the complex is orientable iff the propagation closes without
-    contradiction.  Requires a closed connected weak pseudomanifold.  With
-    ``cross_check`` the verdict is compared against beta_d over Q being 1.
+    contradiction.  Requires a closed connected weak pseudomanifold.  The
+    verdict is memoized on the complex.
     """
     if K.dim < 1:
         raise DomainError("orientability needs dimension >= 1")
+    return K._memo("orientable", lambda: _propagate_orientation(K))
+
+
+def _propagate_orientation(K: Complex) -> bool:
     if not classify.is_weak_pseudomanifold(K):
         raise DomainError("not a weak pseudomanifold")
     adjacency = _oriented_adjacency(K)  # raises if not closed
@@ -207,14 +210,7 @@ def is_orientable(K: Complex, *, cross_check: bool = False) -> bool:
                 queue.append(b)
     if seen != K.num_facets:
         raise DomainError("dual graph is not connected")
-    result = all(orient[b] == -orient[a] * sign for a, b, sign in adjacency)
-    if cross_check:
-        beta_top = betti_numbers(K, Q)[K.dim]
-        if result != (beta_top == 1):
-            raise RuntimeError(
-                "internal inconsistency: orientation propagation disagrees "
-                f"with rational top Betti number {beta_top}")
-    return result
+    return all(orient[b] == -orient[a] * sign for a, b, sign in adjacency)
 
 
 @dataclass(frozen=True)

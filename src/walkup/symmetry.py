@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 
 from . import classify
@@ -290,7 +289,6 @@ def _search(K: Complex, n: int) -> tuple[int, list[Perm]]:
     return order, generators
 
 
-@lru_cache(maxsize=128)
 def automorphism_group(K: Complex) -> GroupDescription:
     """Exact automorphism group of a pure complex with at most 64 vertices.
 
@@ -301,7 +299,7 @@ def automorphism_group(K: Complex) -> GroupDescription:
     generators commute pairwise and the lcm of their orders is the group
     order (a finite abelian group is cyclic iff its exponent equals its
     order).  The description is deterministic: it does not depend on
-    hashing or scheduling.
+    hashing or scheduling.  It is memoized on the complex.
     """
     n = _require_dense(K)
     if n > AUT_VERTEX_CAP:
@@ -309,6 +307,10 @@ def automorphism_group(K: Complex) -> GroupDescription:
             f"{n} vertices exceed the automorphism search cap of {AUT_VERTEX_CAP}")
     if K.is_empty:
         raise DomainError("the empty complex has no automorphism group")
+    return K._memo("automorphism_group", lambda: _describe(K, n))
+
+
+def _describe(K: Complex, n: int) -> GroupDescription:
     order, generators = _search(K, n)
     structure = None
     if order == 1:

@@ -273,6 +273,38 @@ class TestExportHomologyAut:
         assert doc["automorphisms"]["order"] == 6
 
 
+class TestInputErrors:
+    # every subcommand that reads an input file, with the error prefix
+    COMMANDS = ("verify", "decompose", "homology", "aut", "construct")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("kind, prefix", [
+        ("missing", "input error: "),
+        ("malformed", "parse error: "),
+    ])
+    def test_bad_input_exits_2(self, capsys, tmp_path, command, kind, prefix):
+        path = tmp_path / "input.facets"
+        if kind == "malformed":
+            path.write_text("0 1 2\n0 oops 2\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(prefix)
+
+    @pytest.mark.parametrize("command, message", [
+        ("verify", "the complex has no facets"),
+        ("homology", "the empty complex has no Betti numbers"),
+        ("aut", "the empty complex has no automorphism group"),
+    ])
+    def test_domain_error_after_resolution_exits_2(self, capsys, tmp_path,
+                                                   command, message):
+        path = tmp_path / "empty.facets"
+        path.write_text("")
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert err == f"input error: {message}\n"
+
+
 class TestEntryPoint:
     def test_console_script(self):
         import os

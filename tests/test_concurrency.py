@@ -1,12 +1,14 @@
 """Smoke test for the documented thread-safety of the public operations.
 
-Complexes memoize face tables lazily; hammering one instance from several
+Complexes memoize derived facts lazily; hammering one instance from several
 threads must neither raise nor produce divergent answers.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from walkup import GF2, betti_numbers, catalog, dual_graph, in_walkup_class
+from walkup import (GF2, Complex, betti_numbers, catalog, dual_graph,
+                    in_walkup_class)
 from walkup.symmetry import automorphism_group
 
 
@@ -32,7 +34,7 @@ def test_shared_complex_across_threads():
 
 
 def test_fresh_equal_complexes_across_threads():
-    # equal but distinct instances exercise the lazy caches independently
+    # equal but distinct instances exercise their own memos independently
     def probe(i):
         K = catalog.get("A5_21").relabeled(tuple(range(21)))
         return betti_numbers(K, GF2).values
@@ -40,3 +42,24 @@ def test_fresh_equal_complexes_across_threads():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(probe, range(8)))
     assert set(results) == {(1, 8, 0, 0, 0, 0)}
+
+
+def test_racing_threads_all_return_the_stored_fact():
+    # setdefault keeps the first value stored; a thread that lost the race
+    # returns that value, not its own copy, so every thread sees one object
+    facets = catalog.get("M4_21").facets
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        K = Complex(facets)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: (betti_numbers(K, GF2),
+                                            automorphism_group(K),
+                                            K.ridge_incidence()))
+                       for _ in range(16)]
+            results = [f.result(timeout=120) for f in futures]
+        for i in range(3):
+            assert len({id(r[i]) for r in results}) == 1
+        assert results[0][0].values == (1, 8, 0, 8, 1)
+    finally:
+        sys.setswitchinterval(previous)

@@ -201,6 +201,14 @@ class TestExpandOrbit:
         assert len(labeled) == 91
         assert set(labeled.values()) == set(expand_orbit(pres).facets)
 
+    def test_repeated_label_rejected_by_both_expansions(self):
+        pres = OrbitPresentation(classes=("a", "b"), order=3,
+                                 basic_facets=((("a", 0), ("b", 1), ("a", 0)),))
+        with pytest.raises(DomainError, match="collapses under shift 0"):
+            expand_orbit_labeled(pres)
+        with pytest.raises(DomainError, match="collapses under shift 0"):
+            expand_orbit(pres)
+
     def test_collapsing_facet_rejected(self):
         pres = OrbitPresentation(classes=("a",), order=2,
                                  basic_facets=((("a", 0), ("a", 1)),))

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from walkup import GF2, Q, Complex, betti_numbers, boundary_matrix, catalog
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
-                               random_stacked_sphere, standard_sphere)
+                               random_stacked_sphere, random_tree_complex,
+                               standard_sphere)
 from walkup.linalg import gf2_rank, int_rank
 from walkup.symmetry import (_initial_colors, _pair_invariants, _refine_pair,
                              automorphism_group, group_elements)
@@ -381,3 +382,78 @@ class TestAutomorphismsAgainstFullEnumeration:
         for d in range(1, 6):
             assert automorphism_group(cross_polytope_boundary(d)).order \
                 == 2 ** d * math.factorial(d), d
+
+
+def rescanned_free_ridges(facets) -> list:
+    """Ridges in exactly one facet, recounted from every facet."""
+    count: dict = {}
+    for f in facets:
+        for ridge in itertools.combinations(f, len(f) - 1):
+            count[ridge] = count.get(ridge, 0) + 1
+    return sorted(r for r, c in count.items() if c == 1)
+
+
+def rescanning_stacked_ball(dim, num_facets, seed):
+    rng = random.Random(seed)
+    facets = {tuple(range(dim + 1))}
+    next_vertex = dim + 1
+    while len(facets) < num_facets:
+        ridge = rng.choice(rescanned_free_ridges(facets))
+        facets.add(tuple(sorted(ridge + (next_vertex,))))
+        next_vertex += 1
+    return Complex(facets)
+
+
+def rescanning_tree_complex(dim, num_facets, seed, fresh_vertex_prob=0.6):
+    rng = random.Random(seed)
+    facets = {tuple(range(dim + 1))}
+    vertices = set(range(dim + 1))
+    next_vertex = dim + 1
+    while len(facets) < num_facets:
+        ridge = rng.choice(rescanned_free_ridges(facets))
+        new_facet = None
+        if rng.random() >= fresh_vertex_prob:
+            pool = sorted(vertices - set(ridge))
+            rng.shuffle(pool)
+            for v in pool[:8]:
+                cand = tuple(sorted(ridge + (v,)))
+                if cand in facets:
+                    continue
+                # every facet that shares dim vertices (a ridge) with cand
+                neighbors = sum(1 for f in facets
+                                if len(set(cand) & set(f)) == dim)
+                if neighbors == 1:
+                    new_facet = cand
+                    break
+        if new_facet is None:
+            new_facet = tuple(sorted(ridge + (next_vertex,)))
+            next_vertex += 1
+        facets.add(new_facet)
+        vertices.update(new_facet)
+    return Complex(facets)
+
+
+class TestGeneratorsAgainstRescanning:
+    """The generators keep their free ridges up to date incrementally; the
+    oracles recount them from every facet on each step.  Both draw from the
+    same sorted list, so every seed must give the identical complex."""
+
+    CASES = [(dim, n, seed) for dim in (1, 2, 3, 4) for n in (1, 2, 9, 60)
+             for seed in (0, 1, 7, ORACLE_SEED)]
+
+    def test_stacked_balls_and_spheres(self):
+        for dim, n, seed in self.CASES:
+            ball = rescanning_stacked_ball(dim, n, seed)
+            assert random_stacked_ball(dim, n, seed) == ball, (dim, n, seed)
+            assert random_stacked_sphere(dim - 1, n, seed) \
+                == ball.boundary_complex(), (dim, n, seed)
+
+    def test_tree_complexes(self):
+        for dim, n, seed in self.CASES:
+            assert random_tree_complex(dim, n, seed) \
+                == rescanning_tree_complex(dim, n, seed), (dim, n, seed)
+        # mostly reused vertices: the neighbour count decides most steps
+        for dim in (2, 3):
+            for seed in range(5):
+                assert random_tree_complex(dim, 80, seed, 0.05) \
+                    == rescanning_tree_complex(dim, 80, seed, 0.05), (dim, seed)
