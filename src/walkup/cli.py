@@ -7,8 +7,8 @@ family file to facet file), ``decompose`` (complex to tree family),
 
 Reports are JSON with sorted keys; wall-clock numbers live under a separate
 "timing" key so the rest of the document is byte-reproducible.  Exit codes:
-0 success, 1 verification mismatch, 2 input error, 3 a capacity skip was
-escalated by --strict.
+0 success, 1 verification mismatch, 2 input or output error, 3 a capacity
+skip was escalated by --strict.
 
 Schema 2 changed the ``consistency`` checks of ``verify``.  Schema 1 compared
 the alternating sum of each Betti vector with the Euler characteristic, which
@@ -431,16 +431,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Every input failure exits with ``EXIT_INPUT``:
-    a malformed file as ``parse error: ...``, and a missing file, an unknown
-    name or an input outside a command's domain as ``input error: ...``."""
+    """Run one subcommand.  Every input or output failure exits with
+    ``EXIT_INPUT``: a malformed file as ``parse error: ...``, a ``--out``
+    file that cannot be written as ``output error: ...``, and a missing
+    file, an unknown name or an input outside a command's domain as
+    ``input error: ...``."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
     except (DomainError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        failed = getattr(exc, "filename", None)
+        side = "output" if args.out and failed == str(Path(args.out)) \
+            else "input"
+        print(f"{side} error: {exc}", file=sys.stderr)
     return EXIT_INPUT
 
 

@@ -4,12 +4,12 @@ A vertex is a non-negative integer.  A face is the strictly increasing tuple
 of its vertices; the sorted tuple is the canonical form used everywhere
 (container ordering, matrix indexing, file output), so all derived data is
 deterministic.  Complexes are immutable after construction and safe to share
-between threads.  Derived facts (face tables, ridge incidence, Betti
-numbers, orientability, class membership, the automorphism group) are
-memoized per instance: every entry is a deterministic function of the
-facets and is written with ``dict.setdefault``, so threads that race on one
-entry compute equal values and all of them return the one that was stored.
-Equal but distinct instances keep separate memos.
+between threads.  Derived facts (face tables, ridge incidence, the boundary
+complex, Betti numbers, orientability, class membership, the automorphism
+group) are memoized per instance: every entry is a deterministic function of
+the facets and is written with ``dict.setdefault``, so threads that race on
+one entry compute equal values and all of them return the one that was
+stored.  Equal but distinct instances keep separate memos.
 
 ``Complex`` is the pure case (all maximal faces of equal dimension) and
 carries the geometric operations: links, stars, skeletons, boundary.
@@ -294,8 +294,12 @@ class Complex(GeneralComplex):
         """Pure (dim-1)-complex of the ridges lying in exactly one facet.
 
         Requires a weak pseudomanifold (every ridge in at most two facets);
-        returns the empty complex when the input is closed.
+        returns the empty complex when the input is closed.  Memoized, so
+        the boundary's own memo (its automorphism group, say) is kept too.
         """
+        return self._memo("boundary_complex", self._boundary)
+
+    def _boundary(self) -> "Complex":
         if self.is_empty or self._dim == 0:
             return Complex(())
         boundary = []

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from . import classify
 from .core import Complex, GeneralComplex
 from .errors import CapacityError, DomainError
-from .linalg import (gf2_kernel_basis, gf2_rank, int_rank,
-                     rational_kernel_basis)
+from .linalg import gf2_rank, int_rank
 
 GF2 = "GF2"
 Q = "Q"
@@ -76,11 +75,18 @@ class ChainBoundary:
         return rows
 
     def rank(self) -> int:
-        # eliminate the transpose: the stored columns feed the kernel as
-        # rows, with no row-major copy of the matrix
-        if self.field == GF2:
-            return gf2_rank(sum(1 << r for r, _ in col) for col in self.columns)
-        return int_rank(dict(col) for col in self.columns)
+        return _rank(self.columns, self.field)
+
+
+def _rank(columns, field: str) -> int:
+    """Rank of a matrix given by its columns of (row, sign) incidences.
+
+    The columns feed the elimination kernel as rows (the transpose has the
+    same rank), so no row-major copy of the matrix is built.
+    """
+    if field == GF2:
+        return gf2_rank(sum(1 << r for r, _ in col) for col in columns)
+    return int_rank(dict(col) for col in columns)
 
 
 def boundary_matrix(K: GeneralComplex, j: int, field: str = GF2) -> ChainBoundary:
@@ -285,11 +291,18 @@ def _gray_subsets(n: int):
 def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
     """Check tightness by enumerating every induced subcomplex.
 
-    For each vertex subset W and every dimension j, the map induced in
-    homology by the inclusion of the subcomplex on W must be injective; the
-    kernel is (cycles of Y meeting boundaries of X) modulo boundaries of Y,
-    so injectivity is a rank condition checked exactly.  Capped at
-    2^16 subsets; larger inputs must use the certificate path.
+    K is tight when, for every nonempty vertex subset W, the map
+    H_j(Y) -> H_j(K) induced by the inclusion of the subcomplex Y on W is
+    injective in every degree j.  Ordering the faces of Y first makes
+    d^K_{j+1} block upper-triangular, with d^Y_{j+1} and the relative map
+    d^{K,Y}_{j+1} (the columns of faces outside Y, rows in Y dropped) on the
+    diagonal, and by the long exact sequence of the pair
+    rank d^K_{j+1} - rank d^Y_{j+1} - rank d^{K,Y}_{j+1}
+    = dim ker(H_j(Y) -> H_j(K)).  So only ranks are taken: in degree 0 the
+    kernel is trivial iff beta_0(Y) = 1 (K is connected), in degree j >= 1
+    the deficit must vanish wherever beta_j(Y) > 0, and the top degree never
+    fails.  Capped at 2^16 subsets; larger inputs must use the certificate
+    path.
     """
     field = normalize_field(field)
     n = K.num_vertices
@@ -302,106 +315,41 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
     if not K.is_connected():
         return False
 
-    verts = K.vertices
-    vpos = {v: i for i, v in enumerate(verts)}
     dim = K.dim
-    faces_by_dim = [K.faces(j) for j in range(dim + 1)]
-    face_masks = [[sum(1 << vpos[v] for v in f) for f in faces_by_dim[j]]
-                  for j in range(dim + 1)]
-    # boundary incidences of each j-face, as (index into faces_{j-1}, sign)
-    bnd: list[list[tuple[tuple[int, int], ...]]] = [[]]
-    for j in range(1, dim + 1):
-        idx = {f: i for i, f in enumerate(faces_by_dim[j - 1])}
-        lst = []
-        for f in faces_by_dim[j]:
-            inc = []
-            for i in range(len(f)):
-                sign = 1 if field == GF2 else (-1) ** i
-                inc.append((idx[f[:i] + f[i + 1:]], sign))
-            lst.append(tuple(inc))
-        bnd.append(lst)
-    with_vertex = [[[i for i, f in enumerate(faces_by_dim[j]) if v in f]
-                    for j in range(dim + 1)] for v in verts]
-
-    # global boundary columns of d_{j+1} in C_j coordinates, and their ranks
-    if field == GF2:
-        bcols: list[list[int]] = []
-        for j in range(dim + 1):
-            cols = []
-            if j < dim:
-                for inc in bnd[j + 1]:
-                    cols.append(sum(1 << r for r, _ in inc))
-            bcols.append(cols)
-        bdim = [gf2_rank(cols) for cols in bcols]
-    else:
-        qcols: list[list[dict[int, int]]] = []
-        for j in range(dim + 1):
-            cols = []
-            if j < dim:
-                for inc in bnd[j + 1]:
-                    cols.append({r: s for r, s in inc})
-            qcols.append(cols)
-        bdim = [int_rank(cols) for cols in qcols]
+    vpos = {v: i for i, v in enumerate(K.vertices)}
+    faces = [K.faces(j) for j in range(dim + 1)]
+    face_masks = [[sum(1 << vpos[v] for v in f) for f in faces_j]
+                  for faces_j in faces]
+    with_vertex = [[[i for i, f in enumerate(faces_j) if v in f]
+                    for faces_j in faces] for v in K.vertices]
+    # columns[j]: the (row, sign) incidences of each j-face in d_j
+    columns = [()] + [boundary_matrix(K, j, field).columns
+                      for j in range(1, dim + 1)]
+    rank_k = [_rank(cols, field) for cols in columns]
 
     active: list[set[int]] = [set() for _ in range(dim + 1)]
-
-    def injective_at(j: int) -> bool:
-        cols_j = sorted(active[j])
-        if not cols_j:
-            return True
-        local = {g: p for p, g in enumerate(cols_j)}
-        ncols = len(cols_j)
-        if field == GF2:
-            # rank of the subcomplex boundary d^Y_{j+1}
-            sub_rows = [sum(1 << local[r] for r, _ in bnd[j + 1][g])
-                        for g in active[j + 1]] if j < dim else []
-            dim_b_y = gf2_rank(sub_rows)
-            # kernel of d^Y_j
-            rows: dict[int, int] = {}
-            if j > 0:
-                for g in cols_j:
-                    bit = 1 << local[g]
-                    for r, _ in bnd[j][g]:
-                        rows[r] = rows.get(r, 0) | bit
-            kernel = gf2_kernel_basis(rows.values(), ncols)
-            if len(kernel) == dim_b_y:
-                return True  # B_j(Y) subset of Z_j(Y), dims already equal
-            glob = [sum(1 << cols_j[p] for p in range(ncols) if (vec >> p) & 1)
-                    for vec in kernel]
-            joint = gf2_rank(glob + bcols[j])
-            meet = len(kernel) + bdim[j] - joint
-        else:
-            sub_rows_q = [{local[r]: s for r, s in bnd[j + 1][g]}
-                          for g in active[j + 1]] if j < dim else []
-            dim_b_y = int_rank(sub_rows_q)
-            rows_q: dict[int, dict[int, int]] = {}
-            if j > 0:
-                for g in cols_j:
-                    for r, s in bnd[j][g]:
-                        rows_q.setdefault(r, {})[local[g]] = s
-            kernel_q = rational_kernel_basis(list(rows_q.values()), ncols)
-            if len(kernel_q) == dim_b_y:
-                return True
-            glob_q = [{cols_j[p]: v for p, v in vec.items()} for vec in kernel_q]
-            joint = int_rank(glob_q + qcols[j])
-            meet = len(kernel_q) + bdim[j] - joint
-        return meet == dim_b_y
-
     for t, mask in _gray_subsets(n):
-        bit = 1 << t
-        if mask & bit:
-            for j in range(dim + 1):
-                acts = active[j]
-                for i in with_vertex[t][j]:
-                    if face_masks[j][i] & ~mask == 0:
-                        acts.add(i)
+        if mask >> t & 1:
+            for j, acts in enumerate(active):
+                acts.update(i for i in with_vertex[t][j]
+                            if face_masks[j][i] & ~mask == 0)
         else:
-            for j in range(dim + 1):
-                acts = active[j]
-                for i in with_vertex[t][j]:
-                    acts.discard(i)
-        for j in range(dim + 1):
-            if not injective_at(j):
+            for acts, touched in zip(active, with_vertex[t]):
+                acts.difference_update(touched)
+        rank_y = [0] + [_rank([columns[j][i] for i in active[j]], field)
+                        for j in range(1, dim + 1)] + [0]
+        betti_y = [len(active[j]) - rank_y[j] - rank_y[j + 1]
+                   for j in range(dim + 1)]
+        if betti_y[0] != 1:
+            return False
+        for j in range(1, dim):
+            if betti_y[j] == 0:
+                continue
+            inside = active[j]
+            relative = [[(r, s) for r, s in col if r not in inside]
+                        for i, col in enumerate(columns[j + 1])
+                        if i not in active[j + 1]]
+            if rank_k[j + 1] - rank_y[j + 1] != _rank(relative, field):
                 return False
     return True
 

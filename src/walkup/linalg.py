@@ -7,7 +7,6 @@ The kernel is a heap-ordered sparse elimination with Markowitz-style pivots
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from math import gcd
@@ -102,76 +101,3 @@ def int_rank(rows: Iterable[dict[int, int]]) -> int:
     return _sparse_rank([{c: v for c, v in row.items() if v} for row in rows],
                         _fraction_free_into)
 
-
-def gf2_kernel_basis(rows: Iterable[int], ncols: int) -> list[int]:
-    """Basis of the null space of a GF(2) matrix, as packed column vectors."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        r = row
-        while r:
-            c = (r & -r).bit_length() - 1
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = r
-                break
-            r ^= p
-    # reduce to RREF so each pivot column appears in exactly one row
-    cols = sorted(pivots)
-    for i, c in enumerate(cols):
-        row = pivots[c]
-        for c2 in cols[:i]:
-            if (pivots[c2] >> c) & 1:
-                pivots[c2] ^= row
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = 1 << free
-        for c, row in pivots.items():
-            if (row >> free) & 1:
-                vec |= 1 << c
-        basis.append(vec)
-    return basis
-
-
-def rational_kernel_basis(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
-    """Basis of the null space over Q of a small integer matrix.
-
-    Dense Gauss-Jordan on ``Fraction`` entries; the basis vectors are scaled
-    to integers.  Intended for the small matrices of the brute-force
-    tightness check, not for the big boundary matrices.
-    """
-    dense = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(prow, len(dense)):
-            if dense[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        dense[prow], dense[sel] = dense[sel], dense[prow]
-        pv = dense[prow][col]
-        dense[prow] = [x / pv for x in dense[prow]]
-        for i in range(len(dense)):
-            if i != prow and dense[i][col]:
-                f = dense[i][col]
-                dense[i] = [x - f * y for x, y in zip(dense[i], dense[prow])]
-        pivots.append((prow, col))
-        prow += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = {free: Fraction(1)}
-        for r, c in pivots:
-            val = dense[r][free]
-            if val:
-                vec[c] = -val
-        scale = reduce(lambda a, b: a * b // gcd(a, b),
-                       (f.denominator for f in vec.values()), 1)
-        basis.append({c: int(f * scale) for c, f in sorted(vec.items())})
-    return basis

@@ -304,6 +304,16 @@ class TestInputErrors:
         assert code == 2
         assert err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["export", "verify"])
+    def test_unwritable_out_is_an_output_error(self, capsys, tmp_path,
+                                               command):
+        target = tmp_path / "missing" / "report.out"
+        code, out, err = run(capsys, command, "S4_6", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("output error: ") and str(target) in err
+        assert not target.exists()
+
 
 class TestEntryPoint:
     def test_console_script(self):

@@ -8,8 +8,11 @@ that equal but distinct instances do not share a memo.
 
 import json
 
-from walkup import (GF2, Q, Complex, betti_numbers, catalog, check_lower_bounds,
-                    classify, homology, in_walkup_class)
+import pytest
+
+from walkup import (GF2, Q, Complex, DomainError, betti_numbers, catalog,
+                    check_lower_bounds, classify, homology, in_walkup_class,
+                    symmetry, verify_aut_equality)
 from walkup.cli import main
 from walkup.generators import (cross_polytope_boundary, random_stacked_sphere,
                                standard_ball, standard_sphere)
@@ -72,3 +75,27 @@ def test_lower_bound_links_agree_with_class_membership(monkeypatch):
         monkeypatch.undo()
         assert report.manifoldness.startswith("verified") == verdict
         assert stacked == []  # the verdict came from the memo
+
+
+def test_boundary_group_is_searched_once(monkeypatch):
+    A = Complex(catalog.get("A5_41").facets)
+    searches = counting(monkeypatch, symmetry, "_search")
+    for _ in range(3):
+        assert verify_aut_equality(A)
+    # one search for A and one for its boundary; a fresh boundary on every
+    # call would search it three times
+    assert len(searches) == 2
+
+
+def test_boundary_complex_is_memoized():
+    A = Complex(catalog.get("A5_21").facets)
+    B = A.boundary_complex()
+    assert A.boundary_complex() is B
+    assert B == catalog.get("M4_21")
+
+
+def test_rejected_boundary_is_rejected_again():
+    K = Complex([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)])
+    for _ in range(2):
+        with pytest.raises(DomainError, match="lies in 3 facets"):
+            K.boundary_complex()

@@ -11,9 +11,10 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from walkup import GF2, Q, Complex, betti_numbers, boundary_matrix, catalog
+from walkup import (GF2, Q, Complex, GeneralComplex, betti_numbers,
+                    boundary_matrix, catalog)
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
                                random_stacked_sphere, random_tree_complex,
                                standard_sphere)
@@ -146,6 +147,17 @@ def small_pure_complexes(draw):
     K = Complex(facets)
     # densify so the automorphism search accepts the complex
     return K.relabeled({v: i for i, v in enumerate(K.vertices)})
+
+
+@st.composite
+def small_non_pure_complexes(draw):
+    """Maximal faces of mixed dimension (0 to 3) on at most 6 vertices."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    face = st.lists(st.integers(min_value=0, max_value=n - 1),
+                    min_size=1, max_size=4, unique=True)
+    K = GeneralComplex(draw(st.lists(face, min_size=2, max_size=7)))
+    assume(not K.is_pure)
+    return K
 
 
 @st.composite
@@ -329,13 +341,24 @@ class TestTightnessAgainstNaiveRecomputation:
             random_stacked_sphere(2, 2, seed=3),           # bipyramid: not
             Complex([(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
                      (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)]),
+            # non-pure: maximal faces of mixed dimension
+            GeneralComplex([(0, 1, 2), (2, 3)]),           # whisker: not
+            GeneralComplex([(0, 1, 2), (0, 3), (1, 3), (2, 3)]),
+            GeneralComplex([(0, 1, 2, 3), (0, 4), (1, 4), (2, 4), (3, 4)]),
+            GeneralComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+                            (0, 4), (1, 4), (2, 4), (3, 4)]),
+            GeneralComplex([(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5),
+                            (0, 4, 5), (1, 2, 5), (1, 3, 4), (1, 4, 5),
+                            (2, 3, 4), (2, 3, 5), (0, 6), (1, 6), (2, 6),
+                            (3, 6), (4, 6), (5, 6)]),
         ]
         for K in cases:
             for field in (GF2, Q):
                 assert is_tight_bruteforce(K, field) \
                     == naive_is_tight(K, field), (K, field)
 
-    @given(small_pure_complexes())
+    @settings(max_examples=200)
+    @given(st.one_of(small_pure_complexes(), small_non_pure_complexes()))
     def test_random_complexes_agree(self, K):
         from walkup import is_tight_bruteforce
         for field in (GF2, Q):
