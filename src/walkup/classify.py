@@ -26,9 +26,16 @@ WALKUP_VARIANTS = ("K", "Kbar", "Kstar")
 
 
 def dual_graph(K: Complex) -> Graph:
-    """Graph on facet indices; facets are adjacent iff they share a ridge."""
+    """Graph on facet indices; facets are adjacent iff they share a ridge.
+
+    Memoized on the complex.
+    """
     if K.dim < 1:
         raise DomainError("dual graph needs a pure complex of dimension >= 1")
+    return K._memo("dual_graph", lambda: _dual_graph(K))
+
+
+def _dual_graph(K: Complex) -> Graph:
     edges = set()
     for owners in K.ridge_incidence().values():
         if len(owners) > 1:
@@ -70,12 +77,6 @@ def is_stacked_ball(K: Complex) -> bool:
     return dual_graph(K).is_tree()
 
 
-def _is_boundary_simplex(facet_set: set[tuple[int, ...]], vertices: set[int],
-                         d: int) -> bool:
-    # d+2 distinct (d+1)-subsets of d+2 vertices are necessarily all of them
-    return len(vertices) == d + 2 and len(facet_set) == d + 2
-
-
 def is_stacked_sphere(K: Complex) -> bool:
     """Greedy reverse-stacking reduction to the boundary of a simplex.
 
@@ -91,14 +92,15 @@ def is_stacked_sphere(K: Complex) -> bool:
         if len(owners) == 1:
             raise DomainError("complex has nonempty boundary")
 
-    facet_set = set(K.facets)
-    incidence: dict[int, set[tuple[int, ...]]] = {}
-    for f in facet_set:
-        for v in f:
-            incidence.setdefault(v, set()).add(f)
+    facets = K.facets
+    facet_set = set(facets)
+    incidence = {v: {facets[i] for i in star}
+                 for v, star in K.vertex_incidence(d).items()}
 
     while True:
-        if _is_boundary_simplex(facet_set, set(incidence), d):
+        # d+2 distinct (d+1)-subsets of d+2 vertices are necessarily all of
+        # them, so this is the boundary of a simplex
+        if len(incidence) == d + 2 and len(facet_set) == d + 2:
             return True
         reduced = False
         for v in sorted(incidence):
@@ -110,9 +112,8 @@ def is_stacked_sphere(K: Complex) -> bool:
                 around.update(f)
             around.discard(v)
             if len(around) != d + 1:
-                continue
-            link = {frozenset(f) - {v} for f in stars}
-            if link != {frozenset(around) - {u} for u in around}:
+                # otherwise the d+1 link facets are distinct d-subsets of
+                # d+1 vertices, so the link is the boundary of a simplex
                 continue
             tau = tuple(sorted(around))
             if tau in facet_set:

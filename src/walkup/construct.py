@@ -217,9 +217,7 @@ def tree_family_from_complex(M: Complex) -> TreeFamily:
     if not classify.in_walkup_class(M, "Kbar"):
         raise DomainError("complex is not in Kbar of its dimension")
     host = classify.dual_graph(M)
-    trees = tuple(
-        frozenset(i for i, f in enumerate(M.facets) if v in f)
-        for v in M.vertices)
+    trees = tuple(frozenset(star) for star in M.vertex_incidence(M.dim).values())
     family = TreeFamily(host=host, trees=trees, dimension=M.dim)
     report = verify_hypotheses(family)
     assert report.passed, "recovered family unexpectedly fails the hypotheses"

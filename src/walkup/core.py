@@ -4,12 +4,13 @@ A vertex is a non-negative integer.  A face is the strictly increasing tuple
 of its vertices; the sorted tuple is the canonical form used everywhere
 (container ordering, matrix indexing, file output), so all derived data is
 deterministic.  Complexes are immutable after construction and safe to share
-between threads.  Derived facts (face tables, ridge incidence, the boundary
-complex, Betti numbers, orientability, class membership, the automorphism
-group) are memoized per instance: every entry is a deterministic function of
-the facets and is written with ``dict.setdefault``, so threads that race on
-one entry compute equal values and all of them return the one that was
-stored.  Equal but distinct instances keep separate memos.
+between threads.  Derived facts (face tables, vertex and ridge incidence,
+the boundary complex, the dual graph, Betti numbers, orientability, class
+membership, the automorphism group) are memoized per instance: every entry
+is a deterministic function of the facets and is written with
+``dict.setdefault``, so threads that race on one entry compute equal values
+and all of them return the one that was stored.  Equal but distinct
+instances keep separate memos.
 
 ``Complex`` is the pure case (all maximal faces of equal dimension) and
 carries the geometric operations: links, stars, skeletons, boundary.
@@ -153,7 +154,26 @@ class GeneralComplex:
             raise DomainError(f"face dimension {j} out of range [0, {self._dim}]")
         return self._memo(("faces", j), lambda: self._enumerate_faces(j + 1))
 
+    def vertex_incidence(self, j: int) -> dict[int, tuple[int, ...]]:
+        """Map each vertex, in increasing order, to the sorted positions in
+        ``faces(j)`` of the j-faces that contain it.
+
+        The one table through which faces are found by a vertex: a (j-1)-face
+        of the link of v is a j-face through v.
+        """
+        faces = self.faces(j)
+
+        def stars() -> dict[int, tuple[int, ...]]:
+            inc: dict[int, list[int]] = {v: [] for v in self._vertices}
+            for i, f in enumerate(faces):
+                for v in f:
+                    inc[v].append(i)
+            return {v: tuple(ix) for v, ix in inc.items()}
+        return self._memo(("vertex_incidence", j), stars)
+
     def _enumerate_faces(self, k: int) -> tuple[Face, ...]:
+        if k == self._dim + 1 and self.is_pure:
+            return self._maximal  # already sorted and free of repeats
         found: set[Face] = set()
         for f in self._maximal:
             if len(f) == k:
@@ -268,22 +288,30 @@ class Complex(GeneralComplex):
                 inc.setdefault(ridge, []).append(i)
         return {r: tuple(ix) for r, ix in inc.items()}
 
+    def _star_facets(self, v: int) -> list[Face]:
+        """The facets through the vertex v; empty when v is not a vertex."""
+        star = self.vertex_incidence(self._dim).get(v, ()) if self._maximal else ()
+        return [self._maximal[i] for i in star]
+
     def star(self, v: int) -> "Complex":
         """Subcomplex of all facets containing the vertex v."""
-        if v not in set(self._vertices):
+        (v,) = as_face((v,))
+        facets = self._star_facets(v)
+        if not facets:
             raise DomainError(f"vertex {v} not in the complex")
-        return Complex(f for f in self._maximal if v in f)
+        return Complex(facets)
 
     def link(self, face: int | Iterable[int]) -> "Complex":
         """Facets containing ``face``, with ``face`` deleted.
 
         ``face`` may be a single vertex or any face of the complex; the link
-        of a facet is the empty complex.
+        of a facet is the empty complex.  Only the star of the face's first
+        vertex is read.
         """
-        f = as_face((face,) if isinstance(face, int) else face)
+        f = as_face(face if isinstance(face, Iterable) else (face,))
         fs = set(f)
         out = [tuple(v for v in facet if v not in fs)
-               for facet in self._maximal if fs <= set(facet)]
+               for facet in self._star_facets(f[0]) if fs <= set(facet)]
         if not out:
             raise DomainError(f"{f} is not a face of the complex")
         if out == [()]:

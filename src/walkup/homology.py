@@ -53,27 +53,6 @@ class ChainBoundary:
     def shape(self) -> tuple[int, int]:
         return (len(self.row_faces), len(self.col_faces))
 
-    def entry(self, i: int, j: int) -> int:
-        for r, s in self.columns[j]:
-            if r == i:
-                return s
-        return 0
-
-    def bit_rows(self) -> list[int]:
-        """Rows packed as ints (GF(2) view; signs reduced mod 2)."""
-        rows = [0] * len(self.row_faces)
-        for c, col in enumerate(self.columns):
-            for r, _ in col:
-                rows[r] |= 1 << c
-        return rows
-
-    def sparse_rows(self) -> list[dict[int, int]]:
-        rows: list[dict[int, int]] = [dict() for _ in self.row_faces]
-        for c, col in enumerate(self.columns):
-            for r, s in col:
-                rows[r][c] = s
-        return rows
-
     def rank(self) -> int:
         return _rank(self.columns, self.field)
 
@@ -317,11 +296,10 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
 
     dim = K.dim
     vpos = {v: i for i, v in enumerate(K.vertices)}
-    faces = [K.faces(j) for j in range(dim + 1)]
-    face_masks = [[sum(1 << vpos[v] for v in f) for f in faces_j]
-                  for faces_j in faces]
-    with_vertex = [[[i for i, f in enumerate(faces_j) if v in f]
-                    for faces_j in faces] for v in K.vertices]
+    face_masks = [[sum(1 << vpos[v] for v in f) for f in K.faces(j)]
+                  for j in range(dim + 1)]
+    stars = [K.vertex_incidence(j) for j in range(dim + 1)]
+    with_vertex = [[star[v] for star in stars] for v in K.vertices]
     # columns[j]: the (row, sign) incidences of each j-face in d_j
     columns = [()] + [boundary_matrix(K, j, field).columns
                       for j in range(1, dim + 1)]

@@ -22,6 +22,7 @@ non-automorphism.  ``group_elements`` expands the generators on demand.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
@@ -84,31 +85,29 @@ def is_automorphism(K: Complex, p: Perm) -> bool:
     return all(frozenset(p[v] for v in f) in facet_set for f in K.facets)
 
 
-def _fvector_of_facets(facets: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Face counts of the complex spanned by the given facets (may be empty)."""
-    if not facets:
-        return ()
-    top = max(len(f) for f in facets)
-    counts = []
-    for k in range(1, top + 1):
-        seen = set()
-        for f in facets:
-            if len(f) >= k:
-                seen.update(itertools.combinations(f, k))
-        counts.append(len(seen))
-    return tuple(counts)
+def _vertex_link_counts(K: Complex, v: int) -> tuple[int, ...]:
+    """f-vector of lk(v): a (j-1)-face of the link is a j-face through v."""
+    return tuple(len(K.vertex_incidence(j)[v]) for j in range(1, K.dim + 1))
+
+
+def _edge_link_counts(K: Complex) -> dict[tuple[int, int], tuple[int, ...]]:
+    """f-vector of lk(uv) for every edge uv, in one pass over each face table.
+
+    A (j-2)-face of the edge link is a j-face of K through u and v.
+    """
+    if K.dim < 1:
+        return {}
+    through = [Counter(pair for f in K.faces(j)
+                       for pair in itertools.combinations(f, 2))
+               for j in range(1, K.dim + 1)]
+    return {edge: tuple(c[edge] for c in through[1:]) for edge in through[0]}
 
 
 def _pair_invariants(K: Complex, n: int) -> list[list[int]]:
     """Interned invariant of each vertex pair: edge-link f-vector + co-degrees."""
-    pair_facets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    triple_count: dict[tuple[int, int, int], int] = {}
-    for f in K.facets:
-        for pair in itertools.combinations(f, 2):
-            rest = tuple(v for v in f if v not in pair)
-            pair_facets.setdefault(pair, []).append(rest)
-        for triple in itertools.combinations(f, 3):
-            triple_count[triple] = triple_count.get(triple, 0) + 1
+    edge_links = _edge_link_counts(K)
+    triple_count = Counter(triple for f in K.facets
+                           for triple in itertools.combinations(f, 3))
     # co-degree profile of a pair: how often each third vertex completes it
     profiles: dict[tuple[int, int], list[int]] = {}
     for (a, b, c), cnt in triple_count.items():
@@ -118,9 +117,8 @@ def _pair_invariants(K: Complex, n: int) -> list[list[int]]:
     keys: dict[tuple[int, int], tuple] = {}
     for u in range(n):
         for v in range(u + 1, n):
-            links = pair_facets.get((u, v))
-            fvec = _fvector_of_facets(links) if links is not None else None
-            keys[(u, v)] = (fvec, tuple(sorted(profiles.get((u, v), ()))))
+            keys[(u, v)] = (edge_links.get((u, v)),
+                            tuple(sorted(profiles.get((u, v), ()))))
     intern = {k: i for i, k in enumerate(sorted(set(keys.values()),
                                                 key=repr))}
     table = [[0] * n for _ in range(n)]
@@ -130,15 +128,11 @@ def _pair_invariants(K: Complex, n: int) -> list[list[int]]:
 
 
 def _initial_colors(K: Complex, n: int, pinv: list[list[int]]) -> list[int]:
-    v_facets: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(n)}
-    for f in K.facets:
-        for v in f:
-            v_facets[v].append(tuple(u for u in f if u != v))
+    stars = K.vertex_incidence(K.dim)
     keys = []
     for v in range(n):
-        link_fvec = _fvector_of_facets(v_facets[v])
         around = tuple(sorted(pinv[v][u] for u in range(n) if u != v))
-        keys.append((len(v_facets[v]), link_fvec, around))
+        keys.append((len(stars[v]), _vertex_link_counts(K, v), around))
     intern = {k: i for i, k in enumerate(sorted(set(keys), key=repr))}
     return [intern[k] for k in keys]
 

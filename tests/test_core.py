@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from walkup import Complex, DomainError, GeneralComplex, as_face, catalog
-from walkup.generators import standard_ball, standard_sphere
+from walkup.generators import (random_stacked_sphere, standard_ball,
+                               standard_sphere)
 
 
 def brute_force_faces(K, j):
@@ -19,6 +20,25 @@ def brute_force_faces(K, j):
         if any(cs <= fs for fs in facet_sets):
             out.add(cand)
     return out
+
+
+class CountingTuple(tuple):
+    """A tuple that counts the elements read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        item = super().__getitem__(i)
+        self.reads += len(item) if isinstance(i, slice) else 1
+        return item
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def __contains__(self, x):
+        self.reads += len(self)
+        return super().__contains__(x)
 
 
 def small_complexes():
@@ -138,6 +158,43 @@ class TestLinkAndStar:
         assert K.star(4) == Complex([(1, 2, 3, 4)])
         with pytest.raises(DomainError):
             K.star(9)
+
+    def test_star_and_link_reject_non_integer_vertices(self):
+        K = Complex([(0, 1, 2, 3), (1, 2, 3, 4)])
+        for bad in (True, 1.0, "1", None, -1):
+            with pytest.raises(DomainError):
+                K.star(bad)
+            with pytest.raises(DomainError):
+                K.link(bad)
+        assert K.star(1) == K
+
+    def test_empty_complex_has_no_links_or_stars(self):
+        with pytest.raises(DomainError, match="not a face"):
+            Complex(()).link(0)
+        with pytest.raises(DomainError, match="not in the complex"):
+            Complex(()).star(0)
+
+    def test_link_reads_only_the_star(self):
+        K = random_stacked_sphere(4, 800, seed=1)
+        stars = K.vertex_incidence(K.dim)  # built once, reading every facet
+        facets = CountingTuple(K.facets)
+        object.__setattr__(K, "_maximal", facets)
+        for v in K.vertices:
+            before = facets.reads
+            link = K.link(v)
+            assert facets.reads - before <= len(stars[v]) == link.num_facets
+        for edge in K.faces(1)[::50]:
+            before = facets.reads
+            K.link(edge)
+            assert facets.reads - before <= len(stars[edge[0]])
+
+    def test_vertex_incidence_against_scan(self):
+        for K in small_complexes() + [GeneralComplex([(0, 1, 2), (2, 3)])]:
+            for j in range(K.dim + 1):
+                faces = K.faces(j)
+                assert K.vertex_incidence(j) == {
+                    v: tuple(i for i, f in enumerate(faces) if v in f)
+                    for v in K.vertices}
 
     def test_star_of_41_vertex_complex_has_36_facets(self):
         A = catalog.get("A5_41")

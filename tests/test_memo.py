@@ -11,11 +11,12 @@ import json
 import pytest
 
 from walkup import (GF2, Q, Complex, DomainError, betti_numbers, catalog,
-                    check_lower_bounds, classify, homology, in_walkup_class,
-                    symmetry, verify_aut_equality)
+                    check_lower_bounds, classify, fileio, homology,
+                    in_walkup_class, symmetry, verify_aut_equality)
 from walkup.cli import main
-from walkup.generators import (cross_polytope_boundary, random_stacked_sphere,
-                               standard_ball, standard_sphere)
+from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
+                               random_stacked_sphere, standard_ball,
+                               standard_sphere)
 
 
 def counting(monkeypatch, module, name):
@@ -46,6 +47,25 @@ def test_verify_computes_each_walkup_verdict_once(capsys, monkeypatch):
     # the 41 vertex links plus the complex itself; the parent code made 165
     assert len(stacked) <= fresh.num_vertices + 1 == 42
     assert sorted(v for _, v in verdicts) == ["K", "Kbar", "Kstar"]
+
+
+def test_verify_builds_the_dual_graph_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ball.facets"
+    path.write_text(fileio.format_facets(random_stacked_ball(4, 40, seed=7)))
+    builds = counting(monkeypatch, classify, "_dual_graph")
+    assert main(["verify", str(path)]) == 0
+    props = json.loads(capsys.readouterr().out)["properties"]
+    assert props["stacked_ball"] and props["tree_dual_graph"]
+    # the 3-dimensional vertex links are tested for stacked balls and build
+    # dual graphs of their own; the input's serves both the properties and
+    # the stacked-ball test
+    assert [K.dim for (K,) in builds].count(4) == 1
+
+
+def test_dual_graph_is_memoized():
+    K = Complex(catalog.get("A5_21").facets)
+    assert classify.dual_graph(K) is classify.dual_graph(K)
+    assert classify.dual_graph(K) is not classify.dual_graph(Complex(K.facets))
 
 
 def test_equal_instances_keep_separate_memos(monkeypatch):

@@ -19,8 +19,10 @@ from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
                                random_stacked_sphere, random_tree_complex,
                                standard_sphere)
 from walkup.linalg import gf2_rank, int_rank
-from walkup.symmetry import (_initial_colors, _pair_invariants, _refine_pair,
-                             automorphism_group, group_elements)
+from walkup.symmetry import (_edge_link_counts, _initial_colors,
+                             _pair_invariants, _refine_pair,
+                             _vertex_link_counts, automorphism_group,
+                             group_elements)
 
 ORACLE_SEED = 424242
 CATALOG_COMPLEXES = ("A5_21", "A5_41", "B5_21", "B5_26", "M4_21", "M4_41",
@@ -76,8 +78,10 @@ def naive_betti(K, field):
     ranks = [0] * (d + 2)
     for j in range(1, d + 1):
         mat = boundary_matrix(K, j, field)
-        dense = [[mat.entry(i, c) for c in range(len(mat.col_faces))]
-                 for i in range(len(mat.row_faces))]
+        dense = [[0] * len(mat.col_faces) for _ in mat.row_faces]
+        for c, col in enumerate(mat.columns):
+            for i, s in col:
+                dense[i][c] = s
         ranks[j] = (naive_rank_mod2(dense) if field == GF2
                     else naive_rank_rational(dense))
     return tuple(counts[j] - ranks[j] - ranks[j + 1] for j in range(d + 1))
@@ -405,6 +409,37 @@ class TestAutomorphismsAgainstFullEnumeration:
         for d in range(1, 6):
             assert automorphism_group(cross_polytope_boundary(d)).order \
                 == 2 ** d * math.factorial(d), d
+
+
+def scanned_link(K, face) -> Complex:
+    """Oracle: the link of a face by a scan over every facet."""
+    fs = set(face)
+    return Complex(tuple(v for v in f if v not in fs)
+                   for f in K.facets if fs <= set(f))
+
+
+class TestLinkInvariantsAgainstLinks:
+    """The automorphism invariants count faces through a vertex or an edge
+    in the face tables; each count must be the f-vector of the link itself,
+    and each link must equal the one found by scanning every facet."""
+
+    def test_vertex_and_edge_link_f_vectors(self):
+        complexes = [catalog.get(name) for name in CATALOG_COMPLEXES]
+        complexes += [cross_polytope_boundary(3), cross_polytope_boundary(4),
+                      standard_sphere(5)]
+        complexes += [random_stacked_sphere(4, 50, seed=ORACLE_SEED + s)
+                      for s in range(3)]
+        for K in complexes:
+            for v in K.vertices:
+                link = K.link(v)
+                assert link == scanned_link(K, (v,))
+                assert _vertex_link_counts(K, v) == link.f_vector().counts
+            edge_links = _edge_link_counts(K)
+            assert sorted(edge_links) == list(K.faces(1))
+            for edge, counts in edge_links.items():
+                link = K.link(edge)
+                assert link == scanned_link(K, edge)
+                assert counts == link.f_vector().counts
 
 
 def rescanned_free_ridges(facets) -> list:
