@@ -14,6 +14,7 @@ apex over a leaf of the underlying tree, so the greedy choice is safe.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -96,43 +97,47 @@ def is_stacked_sphere(K: Complex) -> bool:
     facet_set = set(facets)
     incidence = {v: {facets[i] for i in star}
                  for v, star in K.vertex_incidence(d).items()}
+    # a vertex's star changes only when a move fills in a facet through it,
+    # so the heap holds every vertex that can qualify, lowest first
+    queue = [v for v, stars in incidence.items() if len(stars) == d + 1]
+    heapq.heapify(queue)
 
     while True:
         # d+2 distinct (d+1)-subsets of d+2 vertices are necessarily all of
         # them, so this is the boundary of a simplex
         if len(incidence) == d + 2 and len(facet_set) == d + 2:
             return True
-        reduced = False
-        for v in sorted(incidence):
-            stars = incidence[v]
+        while queue:
+            v = heapq.heappop(queue)
+            stars = incidence.get(v, ())
             if len(stars) != d + 1:
                 continue
             around: set[int] = set()
             for f in stars:
                 around.update(f)
             around.discard(v)
-            if len(around) != d + 1:
-                # otherwise the d+1 link facets are distinct d-subsets of
-                # d+1 vertices, so the link is the boundary of a simplex
-                continue
-            tau = tuple(sorted(around))
-            if tau in facet_set:
-                # the filled-in facet already exists; only the boundary
-                # simplex itself does that, and it was checked above
-                return False
-            for f in list(stars):
-                facet_set.discard(f)
-                for u in f:
-                    if u != v:
-                        incidence[u].discard(f)
-            del incidence[v]
-            facet_set.add(tau)
-            for u in tau:
-                incidence[u].add(tau)
-            reduced = True
-            break
-        if not reduced:
+            if len(around) == d + 1:
+                # the d+1 link facets are distinct d-subsets of d+1
+                # vertices, so the link is the boundary of a simplex
+                break
+        else:
             return False
+        tau = tuple(sorted(around))
+        if tau in facet_set:
+            # the filled-in facet already exists; only the boundary
+            # simplex itself does that, and it was checked above
+            return False
+        for f in stars:
+            facet_set.discard(f)
+            for u in f:
+                if u != v:
+                    incidence[u].discard(f)
+        del incidence[v]
+        facet_set.add(tau)
+        for u in tau:
+            incidence[u].add(tau)
+            if len(incidence[u]) == d + 1:
+                heapq.heappush(queue, u)
 
 
 def in_walkup_class(K: Complex, variant: str) -> bool:

@@ -110,30 +110,31 @@ def cmd_verify(args) -> int:
 
     report: dict = {"schema": SCHEMA_VERSION, "input": identity,
                     "seed": args.seed}
-    fv = K.f_vector()
+    fv = stage("f_vector", K.f_vector)
     report["dim"] = K.dim
     report["num_vertices"] = K.num_vertices
     report["num_facets"] = K.num_facets
     report["f_vector"] = list(fv.counts)
     report["euler_characteristic"] = fv.chi
 
-    props: dict = {"connected": K.is_connected()}
+    props: dict = {"connected": stage("connected", K.is_connected)}
     report["boundary_f_vector"] = None
     if K.dim >= 1:
         props["weak_pseudomanifold"] = stage(
             "pseudomanifold", lambda: classify.is_weak_pseudomanifold(K))
         wpm = props["weak_pseudomanifold"]
         props["closed"] = classify.is_closed(K) if wpm else False
-        dual = classify.dual_graph(K)
+        dual = stage("dual_graph", lambda: classify.dual_graph(K))
         props["pseudomanifold"] = wpm and dual.is_connected()
         props["neighborly"] = K.is_neighborly(2)
         props["tree_dual_graph"] = dual.is_tree()
         props["stacked_ball"] = stage(
             "stackedness", lambda: classify.is_stacked_ball(K))
-        props["stacked_sphere"] = (classify.is_stacked_sphere(K)
-                                   if wpm and props["closed"] else False)
+        props["stacked_sphere"] = (
+            stage("stacked_sphere", lambda: classify.is_stacked_sphere(K))
+            if wpm and props["closed"] else False)
         if wpm and not props["closed"]:
-            boundary = K.boundary_complex()
+            boundary = stage("boundary", K.boundary_complex)
             if not boundary.is_empty:
                 report["boundary_f_vector"] = list(boundary.f_vector().counts)
     report["properties"] = props

@@ -316,7 +316,11 @@ class Complex(GeneralComplex):
             raise DomainError(f"{f} is not a face of the complex")
         if out == [()]:
             return Complex(())
-        return Complex(out)
+        # deleting the same vertices from sorted distinct facets that all
+        # contain them leaves sorted distinct canonical faces: skip as_face
+        link = object.__new__(Complex)
+        link._init(tuple(out))
+        return link
 
     def boundary_complex(self) -> "Complex":
         """Pure (dim-1)-complex of the ridges lying in exactly one facet.

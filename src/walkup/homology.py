@@ -3,10 +3,13 @@
 Boundary matrices are indexed by the canonical (sorted) face order of the
 complex.  The orientation convention is the alternating sum over the sorted
 vertex tuple, so the entry for the face obtained by deleting the i-th vertex
-carries sign (-1)^i.  Every boundary map is eliminated exactly, in every
-dimension, by the one heap-ordered sparse elimination of ``linalg`` that
-serves both fields.  Betti numbers are the only output; torsion is out of
-scope.
+carries sign (-1)^i.  Every rank comes from an exact elimination by the one
+heap-ordered sparse elimination of ``linalg`` that serves both fields.  The
+ranks of a chain complex are taken top-down with clearing (Chen and Kerber
+2011; Bauer, Kerber and Reininghaus 2014): once d_{j+1} is eliminated, the
+j-faces that were its pivot columns are left out of d_j, which keeps rank d_j
+because d_j d_{j+1} = 0 makes each such column a combination of the others.
+Betti numbers are the only output; torsion is out of scope.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from dataclasses import dataclass
 from . import classify
 from .core import Complex, GeneralComplex
 from .errors import CapacityError, DomainError
-from .linalg import gf2_rank, int_rank
+from .linalg import _fraction_free_into, _sparse_rank, _xor_into
 
 GF2 = "GF2"
 Q = "Q"
 
 TIGHTNESS_VERTEX_CAP = 16
+
+_COMBINE = {GF2: _xor_into, Q: _fraction_free_into}
 
 
 def normalize_field(field: str) -> str:
@@ -63,9 +68,23 @@ def _rank(columns, field: str) -> int:
     The columns feed the elimination kernel as rows (the transpose has the
     same rank), so no row-major copy of the matrix is built.
     """
-    if field == GF2:
-        return gf2_rank(sum(1 << r for r, _ in col) for col in columns)
-    return int_rank(dict(col) for col in columns)
+    return len(_sparse_rank([dict(col) for col in columns], _COMBINE[field]))
+
+
+def _top_down_ranks(dim: int, field: str, columns_of) -> list[int]:
+    """rank d_j for j = 0, ..., dim + 1 (0 at both ends), by clearing.
+
+    ``columns_of(j)`` yields (face index, (row, sign) incidences) for the
+    j-faces of d_j; it is called for j = dim down to 1, one matrix at a
+    time.  The j-faces that were pivot columns of d_{j+1} are not fed.
+    """
+    ranks = [0] * (dim + 2)
+    cleared: set[int] = set()
+    for j in range(dim, 0, -1):
+        rows = [dict(col) for i, col in columns_of(j) if i not in cleared]
+        cleared = set(_sparse_rank(rows, _COMBINE[field]))
+        ranks[j] = len(cleared)
+    return ranks
 
 
 def boundary_matrix(K: GeneralComplex, j: int, field: str = GF2) -> ChainBoundary:
@@ -137,9 +156,8 @@ def betti_numbers(K: GeneralComplex, field: str = GF2) -> BettiVector:
 def _betti(K: GeneralComplex, field: str) -> BettiVector:
     d = K.dim
     counts = [len(K.faces(j)) for j in range(d + 1)]
-    ranks = [0] * (d + 2)  # rank of boundary_j; 0 for j=0 and j=d+1
-    for j in range(1, d + 1):
-        ranks[j] = boundary_matrix(K, j, field).rank()
+    ranks = _top_down_ranks(
+        d, field, lambda j: enumerate(boundary_matrix(K, j, field).columns))
     values = tuple(counts[j] - ranks[j] - ranks[j + 1] for j in range(d + 1))
     return BettiVector(field=field, values=values)
 
@@ -303,7 +321,7 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
     # columns[j]: the (row, sign) incidences of each j-face in d_j
     columns = [()] + [boundary_matrix(K, j, field).columns
                       for j in range(1, dim + 1)]
-    rank_k = [_rank(cols, field) for cols in columns]
+    rank_k = _top_down_ranks(dim, field, lambda j: enumerate(columns[j]))
 
     active: list[set[int]] = [set() for _ in range(dim + 1)]
     for t, mask in _gray_subsets(n):
@@ -314,8 +332,8 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
         else:
             for acts, touched in zip(active, with_vertex[t]):
                 acts.difference_update(touched)
-        rank_y = [0] + [_rank([columns[j][i] for i in active[j]], field)
-                        for j in range(1, dim + 1)] + [0]
+        rank_y = _top_down_ranks(
+            dim, field, lambda j: ((i, columns[j][i]) for i in active[j]))
         betti_y = [len(active[j]) - rank_y[j] - rank_y[j + 1]
                    for j in range(dim + 1)]
         if betti_y[0] != 1:

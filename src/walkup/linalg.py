@@ -43,8 +43,9 @@ def _fraction_free_into(row: dict[int, int], pivot: dict[int, int],
             row[cc] //= g
 
 
-def _sparse_rank(rows: list[dict[int, int]], combine) -> int:
-    """Rank of sparse rows with nonzero entries, which it consumes.
+def _sparse_rank(rows: list[dict[int, int]], combine) -> list[int]:
+    """Pivot columns of sparse rows with nonzero entries, which it consumes;
+    their number is the rank.
 
     ``combine(row, pivot, c)`` adds to ``row`` the multiple of ``pivot`` that
     clears column c.  Columns wait in a lazy min-heap keyed by (active entry
@@ -56,7 +57,7 @@ def _sparse_rank(rows: list[dict[int, int]], combine) -> int:
         for c in row:
             cols[c].add(i)
     heap = sorted((len(s), c) for c, s in cols.items())  # sorted is a heap
-    rank = 0
+    pivots = []
     while heap:
         count, c = heappop(heap)
         in_col = cols[c]
@@ -69,7 +70,7 @@ def _sparse_rank(rows: list[dict[int, int]], combine) -> int:
         pivot, rows[r] = rows[r], None  # nothing reads row r again
         for cc in pivot:
             cols[cc].discard(r)
-        rank += 1
+        pivots.append(c)
         for rr in cols.pop(c):
             row = rows[rr]
             combine(row, pivot, c)
@@ -80,7 +81,7 @@ def _sparse_rank(rows: list[dict[int, int]], combine) -> int:
                     cols[cc].add(rr)
                 elif cc != c:
                     cols[cc].discard(rr)
-    return rank
+    return pivots
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -92,12 +93,12 @@ def _bits(mask: int) -> Iterable[int]:
 
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank of a GF(2) matrix given as packed row bitmasks."""
-    return _sparse_rank([dict.fromkeys(_bits(row), 1) for row in rows],
-                        _xor_into)
+    return len(_sparse_rank([dict.fromkeys(_bits(row), 1) for row in rows],
+                            _xor_into))
 
 
 def int_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank over Q of an integer matrix given as sparse rows."""
-    return _sparse_rank([{c: v for c, v in row.items() if v} for row in rows],
-                        _fraction_free_into)
+    return len(_sparse_rank([{c: v for c, v in row.items() if v}
+                             for row in rows], _fraction_free_into))
 

@@ -38,6 +38,8 @@ class TestVerify:
         assert doc["betti"]["GF2"] == [1, 8, 0, 0, 0, 0]
         assert doc["automorphisms"]["order"] == 7
         assert all(doc["consistency"].values())
+        assert "boundary" in doc["timing"]
+        assert "stacked_sphere" not in doc["timing"]  # not closed: not run
 
     def test_closed_manifold_report(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "N4_26")
@@ -49,6 +51,11 @@ class TestVerify:
         assert doc["tightness"]["strongly_minimal"] is True
         assert doc["bounds"]["vertex_bound"]["equality"] is True
         assert doc["homeomorphism_type"]["type"] == "(S3xS1)^#14 twisted"
+        # every computation of a closed complex is timed
+        assert sorted(doc["timing"]) == [
+            "automorphisms", "betti_GF2", "betti_Q", "bounds", "connected",
+            "dual_graph", "f_vector", "orientability", "pseudomanifold",
+            "stacked_sphere", "stackedness", "tightness", "type", "walkup"]
 
     def test_ring_counterexample_flags(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "nonball_example")

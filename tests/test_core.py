@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from walkup import Complex, DomainError, GeneralComplex, as_face, catalog
+from walkup import Complex, DomainError, GeneralComplex, as_face, catalog, core
 from walkup.generators import (random_stacked_sphere, standard_ball,
                                standard_sphere)
 
@@ -174,15 +174,20 @@ class TestLinkAndStar:
         with pytest.raises(DomainError, match="not in the complex"):
             Complex(()).star(0)
 
-    def test_link_reads_only_the_star(self):
+    def test_link_reads_only_the_star(self, monkeypatch):
         K = random_stacked_sphere(4, 800, seed=1)
         stars = K.vertex_incidence(K.dim)  # built once, reading every facet
         facets = CountingTuple(K.facets)
         object.__setattr__(K, "_maximal", facets)
+        canonicalised = []
+        monkeypatch.setattr(core, "as_face",
+                            lambda f: canonicalised.append(f) or as_face(f))
         for v in K.vertices:
             before = facets.reads
             link = K.link(v)
             assert facets.reads - before <= len(stars[v]) == link.num_facets
+        # only the argument is canonicalised, not each link facet again
+        assert len(canonicalised) == K.num_vertices
         for edge in K.faces(1)[::50]:
             before = facets.reads
             K.link(edge)

@@ -6,7 +6,7 @@ import pytest
 
 from walkup import (CapacityError, Complex, DomainError, GF2, Q, catalog,
                     betti_numbers, boundary_matrix, certify_tight,
-                    composes_to_zero, identify_type, is_orientable,
+                    composes_to_zero, homology, identify_type, is_orientable,
                     is_tight_bruteforce)
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
                                random_stacked_sphere, standard_ball,
@@ -48,6 +48,11 @@ def int_rank_of_transpose(mat):
         for c, v in row.items():
             rows[c][r] = v
     return int_rank(rows)
+
+
+def top_down_ranks(K, field):
+    return homology._top_down_ranks(
+        K.dim, field, lambda j: enumerate(boundary_matrix(K, j, field).columns))
 
 
 class TestBoundaryMatrix:
@@ -119,14 +124,41 @@ class TestBettiNumbers:
             for field in (GF2, Q):
                 assert betti_numbers(K, field).alternating_sum == chi
 
-    def test_800_facet_stacked_sphere_both_fields(self):
+    def test_800_facet_stacked_sphere_both_fields(self, monkeypatch):
         # 3,202 facets: large enough that pivot order decides the running time
         S = random_stacked_sphere(4, 800, seed=1)
-        for field in (GF2, Q):
-            assert betti_numbers(S, field).values == (1, 0, 0, 0, 1)
-        ranks = {field: [boundary_matrix(S, j, field).rank() for j in range(1, 5)]
+        f = S.f_vector()
+        ranks = {field: [0] + [boundary_matrix(S, j, field).rank()
+                               for j in range(1, 5)] + [0]
                  for field in (GF2, Q)}
         assert ranks[GF2] == ranks[Q]
+        kernel = homology._sparse_rank
+        fed = []
+
+        def counting_kernel(rows, combine):
+            fed.append(len(rows))
+            return kernel(rows, combine)
+
+        monkeypatch.setattr(homology, "_sparse_rank", counting_kernel)
+        for field in (GF2, Q):
+            fed.clear()
+            assert betti_numbers(S, field).values == (1, 0, 0, 0, 1)
+            # clearing: d_j is fed only the j-faces d_{j+1} did not pivot on
+            assert fed == [f[j] - ranks[field][j + 1] for j in (4, 3, 2, 1)] \
+                == [3202, 4804, 3206, 804]
+            assert top_down_ranks(S, field) == ranks[field]
+
+    def test_top_down_ranks_match_full_elimination(self):
+        rp2 = Complex([(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+                       (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)])
+        torus = Complex(t for i in range(7) for t in (
+            (i, (i + 1) % 7, (i + 3) % 7), (i, (i + 2) % 7, (i + 3) % 7)))
+        assert betti_numbers(torus, Q).values == (1, 2, 1)
+        for K in (catalog.get("N4_21"), rp2, torus):
+            for field in (GF2, Q):
+                full = [0] + [boundary_matrix(K, j, field).rank()
+                              for j in range(1, K.dim + 1)] + [0]
+                assert top_down_ranks(K, field) == full, (K, field)
 
     def test_gf2_poincare_duality_on_closed_manifolds(self, four_manifolds):
         for K in four_manifolds.values():

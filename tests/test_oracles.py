@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from walkup import (GF2, Q, Complex, GeneralComplex, betti_numbers,
-                    boundary_matrix, catalog)
+from walkup import (GF2, Q, Complex, DomainError, GeneralComplex,
+                    betti_numbers, boundary_matrix, catalog, is_stacked_sphere)
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
                                random_stacked_sphere, random_tree_complex,
                                standard_sphere)
@@ -197,7 +197,7 @@ class TestRanksAgainstNaiveElimination:
 
 
 class TestHomologyAgainstNaiveElimination:
-    @given(small_pure_complexes())
+    @given(st.one_of(small_pure_complexes(), small_non_pure_complexes()))
     def test_betti_both_fields(self, K):
         for field in (GF2, Q):
             assert betti_numbers(K, field).values == naive_betti(K, field)
@@ -440,6 +440,71 @@ class TestLinkInvariantsAgainstLinks:
                 link = K.link(edge)
                 assert link == scanned_link(K, edge)
                 assert counts == link.f_vector().counts
+
+
+def restarting_is_stacked_sphere(K) -> bool:
+    """Oracle: reverse stacking that rescans every vertex after each move."""
+    d = K.dim
+    if d < 1:
+        raise DomainError("stacked sphere test needs dimension >= 1")
+    if any(len(owners) != 2 for owners in K.ridge_incidence().values()):
+        raise DomainError("not a closed weak pseudomanifold")
+    facet_set = set(K.facets)
+    incidence = {v: {f for f in K.facets if v in f} for v in K.vertices}
+    while True:
+        if len(incidence) == d + 2 and len(facet_set) == d + 2:
+            return True
+        for v in sorted(incidence):
+            stars = incidence[v]
+            around = set().union(*stars) - {v}
+            if len(stars) == d + 1 and len(around) == d + 1:
+                break
+        else:
+            return False
+        tau = tuple(sorted(around))
+        if tau in facet_set:
+            return False
+        for f in stars:
+            facet_set.discard(f)
+            for u in f:
+                if u != v:
+                    incidence[u].discard(f)
+        del incidence[v]
+        facet_set.add(tau)
+        for u in tau:
+            incidence[u].add(tau)
+
+
+class TestStackedSphereAgainstRestarts:
+    """``is_stacked_sphere`` revisits only the vertices a move touched; the
+    oracle rescans every vertex after each move."""
+
+    @staticmethod
+    def verdict(check, K):
+        try:
+            return check(K)
+        except DomainError:
+            return "rejected"
+
+    def test_spheres_polytopes_and_links(self):
+        complexes = [random_stacked_sphere(d, n, seed=ORACLE_SEED + n)
+                     for d in (1, 2, 3, 4) for n in (1, 2, 9, 60)]
+        complexes += [cross_polytope_boundary(3), cross_polytope_boundary(4)]
+        complexes += [standard_sphere(d) for d in range(1, 7)]
+        # two disjoint simplex boundaries: a move would fill in a facet
+        # that already exists
+        complexes.append(Complex(list(standard_sphere(2).facets)
+                                 + [tuple(v + 4 for v in f)
+                                    for f in standard_sphere(2).facets]))
+        for name in CATALOG_COMPLEXES:
+            K = catalog.get(name)
+            complexes += [K.link(v) for v in K.vertices]
+        verdicts = set()
+        for K in complexes:
+            want = self.verdict(restarting_is_stacked_sphere, K)
+            assert self.verdict(is_stacked_sphere, K) == want, K
+            verdicts.add(want)
+        assert verdicts == {True, False, "rejected"}
 
 
 def rescanned_free_ridges(facets) -> list:
