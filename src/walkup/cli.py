@@ -146,6 +146,7 @@ def cmd_verify(args) -> int:
         report["walkup"] = None
 
     betti: dict = {}
+    stage("coreduction", lambda: homology._coreduction(K))
     for field in _fields(args.field):
         betti[field] = list(stage(
             f"betti_{field}", lambda f=field: homology.betti_numbers(K, f)).values)

@@ -1,21 +1,26 @@
 """Exact simplicial homology over GF(2) and over the rationals.
 
 Boundary matrices are indexed by the canonical (sorted) face order of the
-complex.  The orientation convention is the alternating sum over the sorted
-vertex tuple, so the entry for the face obtained by deleting the i-th vertex
-carries sign (-1)^i.  Every rank comes from an exact elimination by the one
-heap-ordered sparse elimination of ``linalg`` that serves both fields.  The
-ranks of a chain complex are taken top-down with clearing (Chen and Kerber
-2011; Bauer, Kerber and Reininghaus 2014): once d_{j+1} is eliminated, the
-j-faces that were its pivot columns are left out of d_j, which keeps rank d_j
-because d_j d_{j+1} = 0 makes each such column a combination of the others.
-Betti numbers are the only output; torsion is out of scope.
+complex, and the face obtained by deleting the i-th vertex carries sign
+(-1)^i.  Every rank comes from the one exact sparse elimination of ``linalg``
+that serves both fields.  Betti numbers are taken on a coreduced complex
+(Mrozek and Batko 2009): a base vertex per component goes (H_j(K) = H_j(K, v)
+for j > 0, and beta_0 drops by 1), then each face whose boundary in what is
+left is one face b, together with b.  The coefficient is +-1, a unit over
+GF(2) and Q, so one pass serves both fields, and what is left keeps the
+restriction of d, with no fill-in.  Coreduction fixes no rank: those of what
+is left all come from eliminations, taken top-down with clearing (Chen and
+Kerber 2011; Bauer, Kerber and Reininghaus 2014): the j-faces that were
+pivot columns of d_{j+1} are left out of d_j, which keeps rank d_j as
+d_j d_{j+1} = 0.  Torsion is out of scope.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, chain, combinations, compress, cycle, repeat
 
 from . import classify
 from .core import Complex, GeneralComplex
@@ -59,30 +64,74 @@ class ChainBoundary:
         return (len(self.row_faces), len(self.col_faces))
 
     def rank(self) -> int:
-        return _rank(self.columns, self.field)
+        # the columns feed the kernel as rows: the transpose has the same rank
+        return len(_sparse_rank([dict(col) for col in self.columns],
+                                _COMBINE[self.field]))
 
 
-def _rank(columns, field: str) -> int:
-    """Rank of a matrix given by its columns of (row, sign) incidences.
+def _boundary_rows(K: GeneralComplex, j: int) -> array:
+    """For each j-face in canonical order, the positions in ``K.faces(j - 1)``
+    of its j + 1 facets: the i-th lacks the i-th vertex, so has sign (-1)^i.
+    Read backwards, lexicographic j-subsets come in that order."""
+    index = {f: i for i, f in enumerate(K.faces(j - 1))}
+    col = list(map(index.__getitem__, chain.from_iterable(
+        map(combinations, reversed(K.faces(j)), repeat(j)))))
+    return array("i", col[::-1])
 
-    The columns feed the elimination kernel as rows (the transpose has the
-    same rank), so no row-major copy of the matrix is built.
-    """
-    return len(_sparse_rank([dict(col) for col in columns], _COMBINE[field]))
+
+def _coreduction(K: GeneralComplex):
+    """The boundary rows of every dimension, the alive mask of each dimension
+    after coreduction and the number of bases; memoized, for both fields.
+    In each dimension, breadth first from the rows removed below, each face
+    with one alive row goes with it; each vertex still alive is a base."""
+    def run():
+        store = [array("i")] + [_boundary_rows(K, j) for j in range(1, K.dim + 1)]
+        alive = [bytearray(b"\x01") * len(K.faces(j)) for j in range(K.dim + 1)]
+        base = 0
+        for j in range(1, K.dim + 1):
+            col, w, rows, faces = store[j], j + 1, alive[j - 1], alive[j]
+            # CSR transpose: row r is at positions entries[start[r]:start[r+1]]
+            start = [0] * (len(rows) + 1)
+            for r in col:
+                start[r + 1] += 1
+            start = list(accumulate(start))
+            fill, entries = start[:-1], array("i", [0]) * len(col)
+            for k, r in enumerate(col):
+                entries[fill[r]] = k
+                fill[r] += 1
+            left = bytearray([w]) * len(faces)  # rows not yet passed on
+
+            def cascade(queue: deque[int]) -> None:
+                while queue:  # pass each removed row on to its cofaces
+                    r = queue.popleft()
+                    for k in entries[start[r]:start[r + 1]]:
+                        a = k // w
+                        left[a] -= 1
+                        if left[a] == 1 and faces[a]:
+                            seg = col[a * w:a * w + w]
+                            # its one row left, unless that went already
+                            for b in compress(seg, map(rows.__getitem__, seg)):
+                                faces[a] = rows[b] = 0
+                                queue.append(b)
+
+            cascade(deque(r for r, up in enumerate(rows) if not up))
+            for v in range(len(rows)) if j == 1 else ():
+                if rows[v]:
+                    base += 1
+                    rows[v] = 0
+                    cascade(deque([v]))
+        return store, alive, base
+    return K._memo("coreduction", run)
 
 
-def _top_down_ranks(dim: int, field: str, columns_of) -> list[int]:
-    """rank d_j for j = 0, ..., dim + 1 (0 at both ends), by clearing.
-
-    ``columns_of(j)`` yields (face index, (row, sign) incidences) for the
-    j-faces of d_j; it is called for j = dim down to 1, one matrix at a
-    time.  The j-faces that were pivot columns of d_{j+1} are not fed.
-    """
+def _top_down_ranks(dim: int, field: str, rows_of) -> list[int]:
+    """rank d_j for j = 0, ..., dim + 1 (0 at both ends), by clearing:
+    ``rows_of(j, cleared)`` lists the columns of d_j as {row: sign} dicts but
+    those of ``cleared``, the pivot columns of d_{j+1}; j = dim down to 1."""
     ranks = [0] * (dim + 2)
     cleared: set[int] = set()
     for j in range(dim, 0, -1):
-        rows = [dict(col) for i, col in columns_of(j) if i not in cleared]
-        cleared = set(_sparse_rank(rows, _COMBINE[field]))
+        cleared = set(_sparse_rank(rows_of(j, cleared), _COMBINE[field]))
         ranks[j] = len(cleared)
     return ranks
 
@@ -92,19 +141,11 @@ def boundary_matrix(K: GeneralComplex, j: int, field: str = GF2) -> ChainBoundar
     field = normalize_field(field)
     if not 1 <= j <= K.dim:
         raise DomainError(f"boundary dimension {j} out of range [1, {K.dim}]")
-    row_faces = K.faces(j - 1)
-    col_faces = K.faces(j)
-    row_index = {f: i for i, f in enumerate(row_faces)}
-    columns = []
-    for face in col_faces:
-        col = []
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1:]
-            sign = 1 if field == GF2 else (-1) ** i
-            col.append((row_index[sub], sign))
-        columns.append(tuple(col))
-    return ChainBoundary(dimension=j, field=field, row_faces=row_faces,
-                         col_faces=col_faces, columns=tuple(columns))
+    signs = [1] if field == GF2 else [(-1) ** i for i in range(j + 1)]
+    pairs = zip(_boundary_rows(K, j), cycle(signs))
+    return ChainBoundary(dimension=j, field=field, row_faces=K.faces(j - 1),
+                         col_faces=K.faces(j),
+                         columns=tuple(zip(*[pairs] * (j + 1))))
 
 
 def composes_to_zero(K: GeneralComplex, j: int, field: str = GF2) -> bool:
@@ -154,12 +195,27 @@ def betti_numbers(K: GeneralComplex, field: str = GF2) -> BettiVector:
 
 
 def _betti(K: GeneralComplex, field: str) -> BettiVector:
-    d = K.dim
-    counts = [len(K.faces(j)) for j in range(d + 1)]
-    ranks = _top_down_ranks(
-        d, field, lambda j: enumerate(boundary_matrix(K, j, field).columns))
-    values = tuple(counts[j] - ranks[j] - ranks[j + 1] for j in range(d + 1))
-    return BettiVector(field=field, values=values)
+    store, alive, base = _coreduction(K)
+
+    def rows_of(j: int, cleared: set[int]) -> list[dict[int, int]]:
+        take = bytearray(alive[j])
+        for i in cleared:
+            take[i] = 0
+        if 1 not in take:
+            return []  # skip the pass over the rows of a dimension left empty
+        keys = [r if up else -1 for r, up in enumerate(alive[j - 1])]  # -1: dead
+        pairs = zip(map(keys.__getitem__, store[j]),
+                    cycle([(-1) ** i for i in range(j + 1)]))
+        # in one pass in C, each j + 1 consecutive pairs become a column
+        rows = list(map(dict, compress(zip(*[pairs] * (j + 1)), take)))
+        for row in rows:
+            row.pop(-1, None)
+        return rows
+
+    ranks = _top_down_ranks(K.dim, field, rows_of)
+    return BettiVector(field=field, values=tuple(
+        alive[j].count(1) - ranks[j] - ranks[j + 1] + (base if j == 0 else 0)
+        for j in range(K.dim + 1)))
 
 
 def _oriented_adjacency(K: Complex):
@@ -321,7 +377,8 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
     # columns[j]: the (row, sign) incidences of each j-face in d_j
     columns = [()] + [boundary_matrix(K, j, field).columns
                       for j in range(1, dim + 1)]
-    rank_k = _top_down_ranks(dim, field, lambda j: enumerate(columns[j]))
+    rank_k = _top_down_ranks(dim, field, lambda j, cleared: [
+        dict(col) for i, col in enumerate(columns[j]) if i not in cleared])
 
     active: list[set[int]] = [set() for _ in range(dim + 1)]
     for t, mask in _gray_subsets(n):
@@ -332,8 +389,8 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
         else:
             for acts, touched in zip(active, with_vertex[t]):
                 acts.difference_update(touched)
-        rank_y = _top_down_ranks(
-            dim, field, lambda j: ((i, columns[j][i]) for i in active[j]))
+        rank_y = _top_down_ranks(dim, field, lambda j, cleared: [
+            dict(columns[j][i]) for i in active[j] if i not in cleared])
         betti_y = [len(active[j]) - rank_y[j] - rank_y[j + 1]
                    for j in range(dim + 1)]
         if betti_y[0] != 1:
@@ -342,10 +399,11 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
             if betti_y[j] == 0:
                 continue
             inside = active[j]
-            relative = [[(r, s) for r, s in col if r not in inside]
+            relative = [{r: s for r, s in col if r not in inside}
                         for i, col in enumerate(columns[j + 1])
                         if i not in active[j + 1]]
-            if rank_k[j + 1] - rank_y[j + 1] != _rank(relative, field):
+            if rank_k[j + 1] - rank_y[j + 1] != len(
+                    _sparse_rank(relative, _COMBINE[field])):
                 return False
     return True
 

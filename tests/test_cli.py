@@ -54,8 +54,9 @@ class TestVerify:
         # every computation of a closed complex is timed
         assert sorted(doc["timing"]) == [
             "automorphisms", "betti_GF2", "betti_Q", "bounds", "connected",
-            "dual_graph", "f_vector", "orientability", "pseudomanifold",
-            "stacked_sphere", "stackedness", "tightness", "type", "walkup"]
+            "coreduction", "dual_graph", "f_vector", "orientability",
+            "pseudomanifold", "stacked_sphere", "stackedness", "tightness",
+            "type", "walkup"]
 
     def test_ring_counterexample_flags(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "nonball_example")

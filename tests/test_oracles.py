@@ -11,10 +11,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from walkup import (GF2, Q, Complex, DomainError, GeneralComplex,
-                    betti_numbers, boundary_matrix, catalog, is_stacked_sphere)
+                    betti_numbers, boundary_matrix, catalog, homology,
+                    is_stacked_sphere)
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
                                random_stacked_sphere, random_tree_complex,
                                standard_sphere)
@@ -218,6 +220,65 @@ class TestHomologyAgainstNaiveElimination:
                        (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)])
         assert betti_numbers(rp2, GF2).values == naive_betti(rp2, GF2)
         assert betti_numbers(rp2, Q).values == naive_betti(rp2, Q)
+
+
+def fully_eliminated_betti(K, field):
+    """Betti numbers from a full elimination of every boundary matrix."""
+    ranks = [0] + [boundary_matrix(K, j, field).rank()
+                   for j in range(1, K.dim + 1)] + [0]
+    return tuple(len(K.faces(j)) - ranks[j] - ranks[j + 1]
+                 for j in range(K.dim + 1))
+
+
+class TestCoreductionAgainstFullElimination:
+    """Betti numbers of the coreduced complex equal those of the whole one."""
+
+    @staticmethod
+    def coreduced(K, field):
+        got = betti_numbers(K, field).values
+        assert got == fully_eliminated_betti(K, field), (K, field)
+        return got
+
+    @given(st.one_of(small_pure_complexes(), small_non_pure_complexes()))
+    def test_small_complexes(self, K):
+        for field in (GF2, Q):
+            self.coreduced(K, field)
+
+    def test_one_base_per_component(self):
+        two_spheres = Complex(itertools.chain(
+            itertools.combinations(range(4), 3),
+            itertools.combinations(range(4, 8), 3)))
+        assert homology._coreduction(two_spheres)[2] == 2
+        assert self.coreduced(two_spheres, GF2) == (2, 0, 2)
+        loose = GeneralComplex([(0, 1, 2), (1, 3), (2, 3), (4,), (5,)])
+        assert homology._coreduction(loose)[2] == 3
+        for field in (GF2, Q):
+            assert self.coreduced(loose, field) == (3, 1, 0)
+
+    def test_fields_differ(self):
+        rp2 = [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+               (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)]
+        suspension = Complex([f + (a,) for f in rp2 for a in (6, 7)])
+        assert self.coreduced(suspension, GF2) == (1, 0, 1, 1)
+        assert self.coreduced(suspension, Q) == (1, 0, 0, 0)
+        N = Complex(catalog.get("N4_21").facets)
+        assert self.coreduced(N, GF2)[3] == 8
+        assert self.coreduced(N, Q)[3] == 7
+        # coreduction stalls here: most of N is left to eliminate
+        _, alive, _ = homology._coreduction(N)
+        assert [m.count(1) for m in alive] == [0, 120, 320, 375, 160]
+
+    def test_cross_polytopes(self):
+        for d in (3, 4):
+            K = cross_polytope_boundary(d)
+            for field in (GF2, Q):
+                assert self.coreduced(K, field) == (1,) + (0,) * (d - 2) + (1,)
+
+    @pytest.mark.slow
+    def test_3200_facet_stacked_sphere(self):
+        S = random_stacked_sphere(4, 3200, seed=1)
+        for field in (GF2, Q):
+            assert self.coreduced(S, field) == (1, 0, 0, 0, 1)
 
 
 def naive_is_tight(K, field) -> bool:
