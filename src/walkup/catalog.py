@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from . import classify, construct, generators
 from .construct import OrbitPresentation, TreeFamily, basic_facets_from_strings
@@ -217,8 +218,9 @@ def expected(name: str) -> CatalogEntry:
     m = _PARAM_RE.match(name)
     if m:
         d = int(m.group(2))
-        K = get(name)
-        fv = tuple(len(K.faces(j)) for j in range(K.dim + 1))
+        # the boundary of the (d+1)-simplex, or the d-simplex itself
+        n = d + 2 if m.group(1) == "standard_sphere" else d + 1
+        fv = tuple(comb(n, j + 1) for j in range(d + 1))
         if m.group(1) == "standard_sphere":
             return CatalogEntry(name=name, kind="formula", f_vector=fv,
                                 chi=2 if d % 2 == 0 else 0, beta1=0,

@@ -81,17 +81,14 @@ def is_stacked_ball(K: Complex) -> bool:
 def is_stacked_sphere(K: Complex) -> bool:
     """Greedy reverse-stacking reduction to the boundary of a simplex.
 
-    The input must be a closed weak pseudomanifold; a complex with nonempty
-    boundary raises ``DomainError``.
+    The input must be a closed complex (every ridge in exactly two facets,
+    see ``is_closed``); any other complex raises ``DomainError``.
     """
     d = K.dim
     if d < 1:
         raise DomainError("stacked sphere test needs dimension >= 1")
-    for owners in K.ridge_incidence().values():
-        if len(owners) > 2:
-            raise DomainError("not a weak pseudomanifold")
-        if len(owners) == 1:
-            raise DomainError("complex has nonempty boundary")
+    if not is_closed(K):
+        raise DomainError("complex is not closed")
 
     facets = K.facets
     facet_set = set(facets)

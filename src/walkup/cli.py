@@ -8,7 +8,7 @@ family file to facet file), ``decompose`` (complex to tree family),
 Reports are JSON with sorted keys; wall-clock numbers live under a separate
 "timing" key so the rest of the document is byte-reproducible.  Exit codes:
 0 success, 1 verification mismatch, 2 input or output error, 3 a capacity
-skip was escalated by --strict.
+skip was escalated by --strict (``verify`` and ``aut``).
 
 Schema 2 changed the ``consistency`` checks of ``verify``.  Schema 1 compared
 the alternating sum of each Betti vector with the Euler characteristic, which
@@ -117,23 +117,24 @@ def cmd_verify(args) -> int:
     report["f_vector"] = list(fv.counts)
     report["euler_characteristic"] = fv.chi
 
-    props: dict = {"connected": stage("connected", K.is_connected)}
+    connected = stage("connected", K.is_connected)
+    props: dict = {"connected": connected}
+    closed = False
     report["boundary_f_vector"] = None
     if K.dim >= 1:
-        props["weak_pseudomanifold"] = stage(
+        wpm = props["weak_pseudomanifold"] = stage(
             "pseudomanifold", lambda: classify.is_weak_pseudomanifold(K))
-        wpm = props["weak_pseudomanifold"]
-        props["closed"] = classify.is_closed(K) if wpm else False
+        closed = props["closed"] = classify.is_closed(K)
         dual = stage("dual_graph", lambda: classify.dual_graph(K))
-        props["pseudomanifold"] = wpm and dual.is_connected()
+        props["pseudomanifold"] = classify.is_pseudomanifold(K)
         props["neighborly"] = K.is_neighborly(2)
         props["tree_dual_graph"] = dual.is_tree()
         props["stacked_ball"] = stage(
             "stackedness", lambda: classify.is_stacked_ball(K))
         props["stacked_sphere"] = (
             stage("stacked_sphere", lambda: classify.is_stacked_sphere(K))
-            if wpm and props["closed"] else False)
-        if wpm and not props["closed"]:
+            if closed else False)
+        if wpm and not closed:
             boundary = stage("boundary", K.boundary_complex)
             if not boundary.is_empty:
                 report["boundary_f_vector"] = list(boundary.f_vector().counts)
@@ -144,6 +145,7 @@ def cmd_verify(args) -> int:
             v: classify.in_walkup_class(K, v) for v in classify.WALKUP_VARIANTS})
     else:
         report["walkup"] = None
+    in_k = report["walkup"] is not None and report["walkup"]["K"]
 
     betti: dict = {}
     stage("coreduction", lambda: homology._coreduction(K))
@@ -151,50 +153,42 @@ def cmd_verify(args) -> int:
         betti[field] = list(stage(
             f"betti_{field}", lambda f=field: homology.betti_numbers(K, f)).values)
     report["betti"] = betti
+    gf2, q = betti.get(homology.GF2), betti.get(homology.Q)
 
     orientable = None
-    if K.dim >= 1 and props.get("weak_pseudomanifold") and props["closed"] \
-            and props["connected"]:
+    if closed and props["pseudomanifold"]:
         orientable = stage("orientability", lambda: homology.is_orientable(K))
     report["orientable"] = orientable
 
     report["automorphisms"] = stage("automorphisms", lambda: _automorphisms(K))
 
-    if K.dim >= 3 and props.get("closed") and props["connected"] \
-            and homology.GF2 in betti:
-        bounds = stage("bounds", lambda: classify.check_lower_bounds(
-            K, betti[homology.GF2][1]))
+    if K.dim >= 3 and closed and connected and gf2 is not None:
+        bounds = stage("bounds", lambda: classify.check_lower_bounds(K, gf2[1]))
         report["bounds"] = bounds.to_dict()
     else:
         report["bounds"] = None
 
-    if K.dim in (3, 4) and props.get("closed"):
+    if K.dim in (3, 4) and closed:
         report["tightness"] = stage(
             "tightness", lambda: homology.certify_tight(K)).to_dict()
     else:
         report["tightness"] = None
 
-    if K.dim >= 4 and props["connected"] and report["walkup"] \
-            and report["walkup"]["K"]:
+    if K.dim >= 4 and connected and in_k:
         report["homeomorphism_type"] = stage(
             "type", lambda: homology.identify_type(K)).to_dict()
     else:
         report["homeomorphism_type"] = None
 
     consistency: dict[str, bool] = {}
-    if homology.GF2 in betti and homology.Q in betti:
-        consistency["betti_Q_le_GF2"] = all(
-            q <= g for q, g in zip(betti[homology.Q], betti[homology.GF2]))
-    if report["walkup"] and report["walkup"]["K"] and props.get("closed") \
-            and props["connected"] and homology.GF2 in betti:
-        consistency["poincare_duality_GF2"] = (
-            betti[homology.GF2] == betti[homology.GF2][::-1])
-    if report["walkup"] and report["walkup"]["K"] and homology.GF2 in betti \
-            and K.dim >= 4 and K.dim % 2 == 0:
-        consistency["euler_formula"] = (fv.chi == 2 - 2 * betti[homology.GF2][1])
-    if orientable is not None and homology.Q in betti:
-        consistency["orientable_vs_top_betti_q"] = (
-            orientable == (betti[homology.Q][K.dim] == 1))
+    if gf2 is not None and q is not None:
+        consistency["betti_Q_le_GF2"] = all(b <= a for b, a in zip(q, gf2))
+    if in_k and closed and connected and gf2 is not None:
+        consistency["poincare_duality_GF2"] = gf2 == gf2[::-1]
+    if in_k and gf2 is not None and K.dim >= 4 and K.dim % 2 == 0:
+        consistency["euler_formula"] = fv.chi == 2 - 2 * gf2[1]
+    if orientable is not None and q is not None:
+        consistency["orientable_vs_top_betti_q"] = orientable == (q[K.dim] == 1)
     report["consistency"] = consistency
     report["timing"] = timing
 
@@ -372,16 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify, construct and export stacked-sphere-class "
                     "triangulations")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in reports and passed to any "
-                             "randomized helper")
+                        help="seed recorded in verify reports; no "
+                             "randomized helper reads it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", default=None, help="write output here "
-                           "instead of stdout")
-        p.add_argument("--strict", action="store_true",
-                       help="turn capacity skips into exit code 3")
+    def common(p, strict=False):
+        p.add_argument("--out", default=None, help="write output here "
+                       "instead of stdout")
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="turn capacity skips into exit code 3")
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
     p.add_argument("input", help="catalog name, facet file path, or -")
@@ -392,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--text", dest="text", action="store_true",
                       help="human-readable summary instead of JSON")
     p.set_defaults(text=False)
-    common(p)
+    common(p, strict=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table1", help="check the four closed 4-manifolds "
@@ -427,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group")
     p.add_argument("input", help="catalog name, facet file path, or -")
-    common(p)
+    common(p, strict=True)
     p.set_defaults(func=cmd_aut)
     return parser
 

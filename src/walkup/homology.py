@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, combinations, compress, cycle, repeat
 
 from . import classify
@@ -219,12 +219,9 @@ def _betti(K: GeneralComplex, field: str) -> BettiVector:
 
 
 def _oriented_adjacency(K: Complex):
-    """Dual edges as (facet a, facet b, sign product) from shared ridges."""
+    """Dual edges (facet a, facet b, sign product) of a closed complex."""
     out = []
-    for ridge, owners in K.ridge_incidence().items():
-        if len(owners) != 2:
-            raise DomainError("complex is not closed")
-        a, b = owners
+    for ridge, (a, b) in K.ridge_incidence().items():
         rset = set(ridge)
         fa, fb = K.facets[a], K.facets[b]
         ia = fa.index(next(v for v in fa if v not in rset))
@@ -238,7 +235,8 @@ def is_orientable(K: Complex) -> bool:
 
     Adjacent facets must induce opposite orientations on their shared ridge;
     the complex is orientable iff the propagation closes without
-    contradiction.  Requires a closed connected weak pseudomanifold.  The
+    contradiction.  Requires a closed pseudomanifold: every ridge in exactly
+    two facets (``classify.is_closed``) and a connected dual graph.  The
     verdict is memoized on the complex.
     """
     if K.dim < 1:
@@ -247,9 +245,9 @@ def is_orientable(K: Complex) -> bool:
 
 
 def _propagate_orientation(K: Complex) -> bool:
-    if not classify.is_weak_pseudomanifold(K):
-        raise DomainError("not a weak pseudomanifold")
-    adjacency = _oriented_adjacency(K)  # raises if not closed
+    if not classify.is_closed(K):
+        raise DomainError("complex is not closed")
+    adjacency = _oriented_adjacency(K)
     neighbors: dict[int, list[tuple[int, int]]] = {i: [] for i in range(K.num_facets)}
     for a, b, sign in adjacency:
         neighbors[a].append((b, sign))
@@ -423,17 +421,7 @@ class TightCertificate:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "in_kstar": self.in_kstar,
-            "orientable": self.orientable,
-            "field": self.field,
-            "tight": self.tight,
-            "strongly_minimal": self.strongly_minimal,
-            "certified": self.certified,
-            "beta1": self.beta1,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def certify_tight(K: Complex) -> TightCertificate:

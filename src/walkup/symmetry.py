@@ -1,14 +1,16 @@
 """Automorphism groups of pure simplicial complexes.
 
 A permutation is the tuple of images of the dense vertex ids 0..n-1.  The
-search maps vertices to vertices by individualization-refinement: vertices
-start colored by invariants built from higher-order structure (facet
-degree, link face vector, and the multiset of edge-link face vectors and
-co-degree profiles over the other vertices), the coloring is refined to a
-fixed point, and branching assigns one vertex of the rarest color class at
-a time.  The catalog complexes are 2-neighborly, so the 1-skeleton is
-complete and plain degrees are useless; the pair invariants are what make
-the search near-linear there.
+search maps vertices to vertices by individualization-refinement: the
+coloring starts uniform and is refined to a fixed point against an
+invariant of each vertex pair (its edge-link face vector and co-degree
+profile), and branching assigns one vertex of the rarest color class at a
+time.  The uniform start loses nothing: the first round splits vertices by
+their multisets of pair invariants, which fix each vertex's facet degree
+and link face vector, so a start from those vertex invariants refines to
+the same partition.  The catalog complexes are 2-neighborly, so the
+1-skeleton is complete and plain degrees are useless; the pair invariants
+are what make the search near-linear there.
 
 No group element is enumerated.  The search is pruned by the automorphisms
 already found (McKay and Piperno, "Practical graph isomorphism, II", 2014):
@@ -85,11 +87,6 @@ def is_automorphism(K: Complex, p: Perm) -> bool:
     return all(frozenset(p[v] for v in f) in facet_set for f in K.facets)
 
 
-def _vertex_link_counts(K: Complex, v: int) -> tuple[int, ...]:
-    """f-vector of lk(v): a (j-1)-face of the link is a j-face through v."""
-    return tuple(len(K.vertex_incidence(j)[v]) for j in range(1, K.dim + 1))
-
-
 def _edge_link_counts(K: Complex) -> dict[tuple[int, int], tuple[int, ...]]:
     """f-vector of lk(uv) for every edge uv, in one pass over each face table.
 
@@ -125,16 +122,6 @@ def _pair_invariants(K: Complex, n: int) -> list[list[int]]:
     for (u, v), k in keys.items():
         table[u][v] = table[v][u] = intern[k]
     return table
-
-
-def _initial_colors(K: Complex, n: int, pinv: list[list[int]]) -> list[int]:
-    stars = K.vertex_incidence(K.dim)
-    keys = []
-    for v in range(n):
-        around = tuple(sorted(pinv[v][u] for u in range(n) if u != v))
-        keys.append((len(stars[v]), _vertex_link_counts(K, v), around))
-    intern = {k: i for i, k in enumerate(sorted(set(keys), key=repr))}
-    return [intern[k] for k in keys]
 
 
 def _refine_pair(dom: list[int], cod: list[int],
@@ -234,13 +221,11 @@ def _search(K: Complex, n: int) -> tuple[int, list[Perm]]:
     G_{i+1}.  A cell point w already in their orbit of v_i needs no search;
     for any other w one automorphism of the subtree (v_i -> w) is sought
     and, when it exists, becomes a generator.  The orbit of v_i then equals
-    the G_i-orbit, and |G_i| = |orbit of v_i| * |G_{i+1}|.
+    the G_i-orbit, and |G_i| = |orbit of v_i| * |G_{i+1}|.  The root
+    coloring is uniform; the module docstring says why that loses nothing.
     """
-    facets = [tuple(f) for f in K.facets]
-    facet_set = {frozenset(f) for f in facets}
     pinv = _pair_invariants(K, n)
-    base = _initial_colors(K, n, pinv)
-    colors = _refine_pair(list(base), list(base), pinv, n)[0]
+    colors = _refine_pair([0] * n, [0] * n, pinv, n)[0]
 
     def first_automorphism(dom: list[int], cod: list[int]) -> Perm | None:
         step = _target(dom, n)
@@ -250,8 +235,7 @@ def _search(K: Complex, n: int) -> tuple[int, list[Perm]]:
             for w in range(n):
                 at[cod[w]] = w
             p = tuple(at[c] for c in dom)
-            ok = all(frozenset(p[v] for v in f) in facet_set for f in facets)
-            return p if ok else None
+            return p if is_automorphism(K, p) else None
         v, color = step
         for w in range(n):
             if cod[w] == color:

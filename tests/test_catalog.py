@@ -56,6 +56,18 @@ class TestExpectedRecords:
         assert b2.num_facets == 1
         assert catalog.get("S4_6") == catalog.get("standard_sphere(4)")
 
+    def test_parametrized_records_match_the_complexes(self):
+        # the records use closed forms, so they can disagree with get()
+        for family in ("standard_sphere", "standard_ball"):
+            for d in range(9):
+                name = f"{family}({d})"
+                K = catalog.get(name)
+                want = catalog.expected(name)
+                fv = K.f_vector()
+                assert tuple(fv.counts) == want.f_vector, name
+                assert fv.chi == want.chi, name
+                assert K.num_facets == want.facet_count, name
+
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             catalog.get("A5_99")

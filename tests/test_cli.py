@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from walkup import catalog, fileio, homology
+from walkup import Complex, DomainError, catalog, fileio, homology
 from walkup.catalog import CatalogEntry, a541_tree_family
 from walkup.cli import EXIT_MISMATCH, main
-from walkup.generators import random_stacked_ball
+from walkup.generators import random_stacked_ball, standard_sphere
 
 
 def run(capsys, *argv):
@@ -91,6 +91,30 @@ class TestVerify:
         code2 = main(["verify", str(path), "--field", "gf2", "--strict"])
         capsys.readouterr()
         assert code2 == 3
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_spheres_glued_at_a_vertex(self, capsys, tmp_path, d):
+        # closed and vertex-connected, but the dual graph has two components
+        sphere = standard_sphere(d)
+        glued = Complex(list(sphere.facets) + [
+            tuple(v + d + 1 if v else 0 for v in f) for f in sphere.facets])
+        if d == 2:
+            assert glued.facets == ((0, 1, 2), (0, 1, 3), (0, 2, 3),
+                                    (0, 4, 5), (0, 4, 6), (0, 5, 6),
+                                    (1, 2, 3), (4, 5, 6))
+        path = tmp_path / "glued.facets"
+        fileio.save_facets(glued, path)
+        code, doc, err = run_json(capsys, "verify", str(path))
+        assert code == 0, err
+        assert doc["orientable"] is None
+        assert doc["properties"]["closed"] is True
+        assert doc["properties"]["pseudomanifold"] is False
+        assert "orientability" not in doc["timing"]
+        code, out, _ = run(capsys, "verify", str(path), "--text")
+        assert code == 0
+        assert "orientable:" not in out
+        with pytest.raises(DomainError):
+            homology.is_orientable(glued)
 
     def test_field_selection(self, capsys):
         _, doc, _ = run_json(capsys, "verify", "S4_6", "--field", "q")
@@ -311,6 +335,17 @@ class TestInputErrors:
         code, _, err = run(capsys, command, str(path))
         assert code == 2
         assert err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["table1"], ["construct", "-"], ["decompose", "A5_21"],
+        ["export", "S4_6"], ["homology", "S4_6"],
+    ])
+    def test_strict_only_where_a_capacity_skip_can_happen(self, capsys, argv):
+        # only verify and aut can skip on capacity, so only they take --strict
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--strict"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["export", "verify"])
     def test_unwritable_out_is_an_output_error(self, capsys, tmp_path,

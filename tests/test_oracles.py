@@ -21,10 +21,9 @@ from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
                                random_stacked_sphere, random_tree_complex,
                                standard_sphere)
 from walkup.linalg import gf2_rank, int_rank
-from walkup.symmetry import (_edge_link_counts, _initial_colors,
+from walkup.symmetry import (_edge_link_counts, _individualize,
                              _pair_invariants, _refine_pair,
-                             _vertex_link_counts, automorphism_group,
-                             group_elements)
+                             automorphism_group, group_elements)
 
 ORACLE_SEED = 424242
 CATALOG_COMPLEXES = ("A5_21", "A5_41", "B5_21", "B5_26", "M4_21", "M4_41",
@@ -110,8 +109,7 @@ def enumerated_automorphisms(K) -> frozenset:
     facets = [tuple(f) for f in K.facets]
     facet_set = {frozenset(f) for f in facets}
     pinv = _pair_invariants(K, n)
-    base = _initial_colors(K, n, pinv)
-    refined = _refine_pair(list(base), list(base), pinv, n)
+    refined = _refine_pair([0] * n, [0] * n, pinv, n)
     found = set()
 
     def descend(dom, cod):
@@ -472,6 +470,68 @@ class TestAutomorphismsAgainstFullEnumeration:
                 == 2 ** d * math.factorial(d), d
 
 
+def vertex_invariant_colors(K, pinv) -> list[int]:
+    """Reference start coloring from vertex invariants: facet degree, link
+    f-vector, and the sorted row of pair invariants at the vertex."""
+    n = K.num_vertices
+    # in dimension 0 every link is empty, and so is its f-vector
+    keys = [(sum(v in f for f in K.facets),
+             K.link(v).f_vector().counts if K.dim else (),
+             tuple(sorted(pinv[v][u] for u in range(n) if u != v)))
+            for v in range(n)]
+    intern = {k: i for i, k in enumerate(sorted(set(keys), key=repr))}
+    return [intern[k] for k in keys]
+
+
+def cells(colors) -> set:
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, set()).add(v)
+    return {frozenset(vs) for vs in classes.values()}
+
+
+def dense(K) -> Complex:
+    return K.relabeled({v: i for i, v in enumerate(K.vertices)})
+
+
+class TestUniformStartAgainstVertexInvariants:
+    """Refinement from the uniform coloring must reach the partition that
+    refinement from the vertex-invariant coloring reaches, at the root and
+    after individualizing any one vertex."""
+
+    def check(self, K):
+        n = K.num_vertices
+        pinv = _pair_invariants(K, n)
+        start = vertex_invariant_colors(K, pinv)
+        mine = _refine_pair([0] * n, [0] * n, pinv, n)[0]
+        ref = _refine_pair(list(start), list(start), pinv, n)[0]
+        assert cells(mine) == cells(ref)
+        for v in range(n):
+            assert cells(_individualize(mine, mine, v, v, pinv, n)[0]) \
+                == cells(_individualize(ref, ref, v, v, pinv, n)[0]), v
+
+    def test_catalog(self):
+        for name in CATALOG_COMPLEXES + ("nonball_example",):
+            self.check(catalog.get(name))
+
+    def test_spheres_and_cross_polytopes(self):
+        for d in range(9):
+            self.check(standard_sphere(d))
+        for d in range(1, 6):
+            self.check(cross_polytope_boundary(d))
+
+    def test_seeded_random_complexes(self):
+        rng = random.Random(ORACLE_SEED + 2)
+        for _ in range(8):
+            dim, seed = rng.randint(1, 4), rng.randint(0, 10 ** 9)
+            self.check(dense(random_stacked_sphere(dim, rng.randint(1, 30),
+                                                   seed=seed)))
+            self.check(dense(random_stacked_ball(dim, rng.randint(1, 30),
+                                                 seed=seed)))
+            self.check(dense(random_tree_complex(dim, rng.randint(1, 30),
+                                                 seed=seed)))
+
+
 def scanned_link(K, face) -> Complex:
     """Oracle: the link of a face by a scan over every facet."""
     fs = set(face)
@@ -480,9 +540,10 @@ def scanned_link(K, face) -> Complex:
 
 
 class TestLinkInvariantsAgainstLinks:
-    """The automorphism invariants count faces through a vertex or an edge
-    in the face tables; each count must be the f-vector of the link itself,
-    and each link must equal the one found by scanning every facet."""
+    """The automorphism invariants count faces through an edge in the face
+    tables; each count must be the f-vector of the edge link itself, and
+    each vertex and edge link must equal the one found by scanning every
+    facet."""
 
     def test_vertex_and_edge_link_f_vectors(self):
         complexes = [catalog.get(name) for name in CATALOG_COMPLEXES]
@@ -494,7 +555,6 @@ class TestLinkInvariantsAgainstLinks:
             for v in K.vertices:
                 link = K.link(v)
                 assert link == scanned_link(K, (v,))
-                assert _vertex_link_counts(K, v) == link.f_vector().counts
             edge_links = _edge_link_counts(K)
             assert sorted(edge_links) == list(K.faces(1))
             for edge, counts in edge_links.items():
