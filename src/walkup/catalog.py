@@ -15,13 +15,12 @@ parametrized families are addressed as ``standard_sphere(d)`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from . import classify, construct, generators
 from .construct import OrbitPresentation, TreeFamily, basic_facets_from_strings
-from .core import Complex
+from .core import Complex, _Record
 from .errors import DomainError
 from .graphs import Graph
 
@@ -98,8 +97,7 @@ TREE_OFFSETS = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """Reference record for a catalog complex (the summary-table row)."""
 
     name: str
@@ -263,8 +261,7 @@ def a541_tree_family() -> TreeFamily:
     return TreeFamily(host=host, trees=tuple(trees), dimension=5)
 
 
-@dataclass(frozen=True)
-class DualStructureReport:
+class DualStructureReport(_Record):
     """Comparison of a dual graph against its advertised decomposition."""
 
     name: str

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from math import comb
 
-from .core import Complex
+from .core import Complex, _Record
 from .errors import DomainError
 from .graphs import Graph
 
@@ -174,8 +173,7 @@ def cone(K: Complex) -> Complex:
     return Complex(f + (apex,) for f in K.facets)
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(_Record):
     """One row of the lower-bound report: dimension j against its bound."""
 
     j: int
@@ -191,8 +189,7 @@ class BoundEntry:
         return self.actual == self.bound
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Face-vector lower bounds for a closed d-manifold with given beta_1.
 
     ``entries`` holds the per-dimension bounds (a); ``b_lhs >= b_rhs`` is the

@@ -162,7 +162,7 @@ def cmd_verify(args) -> int:
 
     report["automorphisms"] = stage("automorphisms", lambda: _automorphisms(K))
 
-    if K.dim >= 3 and closed and connected and gf2 is not None:
+    if K.dim >= 3 and closed and props["pseudomanifold"] and gf2 is not None:
         bounds = stage("bounds", lambda: classify.check_lower_bounds(K, gf2[1]))
         report["bounds"] = bounds.to_dict()
     else:

@@ -18,17 +18,15 @@ expanded by shifting every index modulo the group order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import classify
-from .core import Complex
+from .core import Complex, _Record
 from .errors import DomainError
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class TreeFamily:
+class TreeFamily(_Record):
     """Host graph plus one vertex subset per tree; ``dimension`` is d."""
 
     host: Graph
@@ -56,8 +54,7 @@ def defines_subset(family: TreeFamily, u: int) -> frozenset[int]:
     return frozenset(i for i, t in enumerate(family.trees) if u in t)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(_Record):
     """Pass/fail per construction hypothesis, with counterexample witnesses.
 
     Condition 0: every tree subset induces a subtree with n-d vertices.
@@ -144,13 +141,17 @@ def verify_hypotheses(family: TreeFamily) -> HypothesisReport:
     coverage_failures = [(u, len(hat)) for u, hat in enumerate(subsets)
                          if len(hat) != d + 1]
 
+    # trees through each host vertex as a bitmask: shared trees are one AND
+    masks = [sum(1 << i for i in hat) for hat in subsets]
     pair_failures = []
-    for u in range(host.num_vertices):
-        for v in range(u + 1, host.num_vertices):
-            shared = len(subsets[u] & subsets[v])
-            edge = host.has_edge(u, v)
-            if (shared == d) != edge:
-                pair_failures.append((u, v, shared, edge))
+    for u, mask in enumerate(masks):
+        neighbors = host.neighbors(u)
+        shared = [(mask & m).bit_count() for m in masks[u + 1:]]
+        # a pair fails when exactly one of "d shared trees" and "edge" holds
+        d_shared = {v for v, s in enumerate(shared, u + 1) if s == d}
+        for v in sorted(d_shared.symmetric_difference(
+                w for w in neighbors if w > u)):
+            pair_failures.append((u, v, shared[v - u - 1], v in neighbors))
 
     return HypothesisReport(
         tree_failures=tuple(tree_failures),
@@ -229,8 +230,7 @@ _LABEL_RE = re.compile(r"^([A-Za-z]+)(\d+)$")
 Label = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class OrbitPresentation:
+class OrbitPresentation(_Record):
     """Cyclic-orbit generator: label classes, group order, basic facets."""
 
     classes: tuple[str, ...]

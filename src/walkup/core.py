@@ -22,7 +22,6 @@ routines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -51,8 +50,67 @@ def as_face(vertices: Iterable[int]) -> Face:
     return face
 
 
-@dataclass(frozen=True)
-class FaceVector:
+class _Record:
+    """Immutable record whose fields are the class's own annotations, in
+    declaration order.
+
+    Package-internal base of the result types; unlike ``dataclasses`` it
+    generates no code, so defining a record costs almost nothing at import.
+    A class attribute named like a field is its default.  Construction is
+    positional or by keyword and then calls ``__post_init__``; equality and
+    hashing go by the field values, within one class.  Fields live in the
+    instance ``__dict__``; setting or deleting an attribute raises
+    ``AttributeError``.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} "
+                            f"fields, got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in cls._defaults:
+                values[name] = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unexpected or repeated "
+                            f"fields {sorted(kwargs)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validation hook; raise to reject the values."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items()) + ")")
+
+
+class FaceVector(_Record):
     """Face counts (f_0, ..., f_d) of a complex."""
 
     counts: tuple[int, ...]
@@ -269,6 +327,15 @@ class Complex(GeneralComplex):
         # equal-size faces are automatically maximal; skip the subset scan
         self._init(tuple(sorted(canon)))
 
+    @classmethod
+    def _from_canonical(cls, facets: tuple[Face, ...]) -> "Complex":
+        """Package-internal: the complex on ``facets``, which the caller
+        guarantees are canonical faces of one size, distinct and sorted.
+        Skips ``as_face``."""
+        K = object.__new__(cls)
+        K._init(facets)
+        return K
+
     @property
     def facets(self) -> tuple[Face, ...]:
         return self._maximal
@@ -317,10 +384,8 @@ class Complex(GeneralComplex):
         if out == [()]:
             return Complex(())
         # deleting the same vertices from sorted distinct facets that all
-        # contain them leaves sorted distinct canonical faces: skip as_face
-        link = object.__new__(Complex)
-        link._init(tuple(out))
-        return link
+        # contain them leaves sorted distinct canonical faces
+        return Complex._from_canonical(tuple(out))
 
     def boundary_complex(self) -> "Complex":
         """Pure (dim-1)-complex of the ridges lying in exactly one facet.
@@ -342,7 +407,8 @@ class Complex(GeneralComplex):
                     f"{len(owners)} facets")
             if len(owners) == 1:
                 boundary.append(ridge)
-        return Complex(boundary)
+        # ridges are distinct canonical faces of one size
+        return Complex._from_canonical(tuple(sorted(boundary)))
 
     def skeleton(self, j: int) -> "Complex":
         """Pure j-complex on all j-faces."""

@@ -15,7 +15,6 @@ line as labeled tokens such as ``a0 a1 b3``.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from pathlib import Path
 
@@ -56,8 +55,14 @@ def parse_facets(text: str) -> Complex:
     facets = []
     first_size: int | None = None
     for lineno, raw, _ in _data_lines(text):
-        facet = tuple(sorted(_int_token(t, col, lineno)
-                             for t, col in _tokens(raw)))
+        try:
+            facet = tuple(sorted(map(int, raw.split())))
+        except ValueError:
+            facet = ()
+        if not facet or facet[0] < 0:
+            # rescan token by token for the first bad token and its column
+            for token, col in _tokens(raw):
+                _int_token(token, col, lineno)
         if len(set(facet)) != len(facet):
             raise ParseError("duplicate vertex in facet", line=lineno)
         if first_size is None:
@@ -67,7 +72,8 @@ def parse_facets(text: str) -> Complex:
                 f"facet has {len(facet)} vertices, expected {first_size}",
                 line=lineno)
         facets.append(facet)
-    return Complex(facets)
+    # sorted, distinct, non-negative and of one size: already canonical
+    return Complex._from_canonical(tuple(sorted(set(facets))))
 
 
 def format_facets(K: Complex) -> str:
@@ -84,6 +90,7 @@ def save_facets(K: Complex, path: str | Path) -> None:
 
 def content_hash(K: Complex) -> str:
     """SHA-256 of the canonical facet serialization."""
+    import hashlib  # deferred: only content hashing needs it
     return hashlib.sha256(format_facets(K).encode("utf-8")).hexdigest()
 
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, combinations, compress, cycle, repeat
 
 from . import classify
-from .core import Complex, GeneralComplex
+from .core import Complex, GeneralComplex, _Record
 from .errors import CapacityError, DomainError
 from .linalg import _fraction_free_into, _sparse_rank, _xor_into
 
@@ -44,8 +43,7 @@ def normalize_field(field: str) -> str:
     raise DomainError(f"unknown coefficient field {field!r}")
 
 
-@dataclass(frozen=True)
-class ChainBoundary:
+class ChainBoundary(_Record):
     """Boundary map from j-chains to (j-1)-chains.
 
     ``columns[c]`` lists the (row, sign) incidences of the c-th j-face; over
@@ -168,8 +166,7 @@ def composes_to_zero(K: GeneralComplex, j: int, field: str = GF2) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(_Record):
     """Betti numbers (beta_0, ..., beta_d) over the tagged coefficient field."""
 
     field: str
@@ -270,8 +267,7 @@ def _propagate_orientation(K: Complex) -> bool:
     return all(orient[b] == -orient[a] * sign for a, b, sign in adjacency)
 
 
-@dataclass(frozen=True)
-class TypeReport:
+class TypeReport(_Record):
     """Homeomorphism type certified through Walkup-class membership."""
 
     dimension: int
@@ -406,8 +402,7 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TightCertificate:
+class TightCertificate(_Record):
     """Tightness and strong minimality certified through class membership."""
 
     dimension: int
@@ -421,7 +416,7 @@ class TightCertificate:
     detail: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(self.__dict__)
 
 
 def certify_tight(K: Complex) -> TightCertificate:

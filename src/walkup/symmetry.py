@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import lcm
 
 from . import classify
-from .core import Complex
+from .core import Complex, _Record
 from .errors import CapacityError, DomainError
 
 Perm = tuple[int, ...]
@@ -144,8 +143,7 @@ def _refine_pair(dom: list[int], cod: list[int],
         dom, cod = ndom, ncod
 
 
-@dataclass(frozen=True)
-class GroupDescription:
+class GroupDescription(_Record):
     """Exact order plus a generating set; structure tag only when cyclic."""
 
     order: int

@@ -110,6 +110,9 @@ class TestVerify:
         assert doc["properties"]["closed"] is True
         assert doc["properties"]["pseudomanifold"] is False
         assert "orientability" not in doc["timing"]
+        # the lower bounds are stated for closed manifolds
+        assert doc["bounds"] is None
+        assert "bounds" not in doc["timing"]
         code, out, _ = run(capsys, "verify", str(path), "--text")
         assert code == 0
         assert "orientable:" not in out

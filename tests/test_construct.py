@@ -1,6 +1,7 @@
 """Tree-family construction, its inverse, and orbit expansion."""
 
 import itertools
+import random
 
 import pytest
 
@@ -77,6 +78,70 @@ class TestVerifyHypotheses:
         report = verify_hypotheses(fam)
         assert any(i == 2 and "expected 2" in why
                    for i, why in report.tree_failures)
+
+
+def _reference_pair_failures(family: TreeFamily):
+    """Condition 3 pair by pair, with frozenset intersections."""
+    subsets = [defines_subset(family, u)
+               for u in range(family.host.num_vertices)]
+    out = []
+    for u in range(len(subsets)):
+        for v in range(u + 1, len(subsets)):
+            shared = len(subsets[u] & subsets[v])
+            edge = family.host.has_edge(u, v)
+            if (shared == family.dimension) != edge:
+                out.append((u, v, shared, edge))
+    return tuple(out)
+
+
+class TestPairConditionAgainstReference:
+    """Condition 3 with tree bitmasks gives the witnesses, in the order, of
+    the frozenset version, also when host edges are added or removed."""
+
+    @staticmethod
+    def _families():
+        fam = a541_tree_family()
+        yield fam
+        rng = random.Random(11)
+        edges = list(fam.host.edges)
+        non_edges = [(u, v) for u in range(40) for v in range(u + 1, 60)
+                     if not fam.host.has_edge(u, v)]
+        for removed, added in ((5, 0), (0, 5), (12, 12), (len(edges), 30)):
+            kept = rng.sample(edges, len(edges) - removed)
+            host = Graph(fam.host.num_vertices,
+                         kept + rng.sample(non_edges, added))
+            yield TreeFamily(host=host, trees=fam.trees,
+                             dimension=fam.dimension)
+        yield TreeFamily(host=fam.host, trees=fam.trees[:40],
+                         dimension=fam.dimension)
+        small = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+        for k in range(1, 4):
+            trees = tuple(frozenset(rng.sample(range(5), 3)) for _ in range(4))
+            yield TreeFamily(host=small, trees=trees, dimension=k)
+
+    def test_same_witnesses_in_the_same_order(self):
+        seen_failures = 0
+        for family in self._families():
+            expected = _reference_pair_failures(family)
+            assert verify_hypotheses(family).pair_failures == expected
+            seen_failures += len(expected)
+        assert seen_failures > 0
+
+    def test_both_kinds_of_failure_witnessed(self):
+        fam = a541_tree_family()
+        u, v = fam.host.edges[0]
+        far = next(w for w in range(fam.host.num_vertices)
+                   if w != u and not fam.host.has_edge(u, w))
+        host = Graph(fam.host.num_vertices,
+                     [e for e in fam.host.edges if e != (u, v)]
+                     + [tuple(sorted((u, far)))])
+        report = verify_hypotheses(TreeFamily(host=host, trees=fam.trees,
+                                              dimension=fam.dimension))
+        assert report.pair_failures == _reference_pair_failures(
+            TreeFamily(host=host, trees=fam.trees, dimension=fam.dimension))
+        kinds = {edge for _, _, _, edge in report.pair_failures}
+        assert kinds == {True, False}
+        assert (u, v, fam.dimension, False) in report.pair_failures
 
 
 class TestComplexFromTreeFamily:

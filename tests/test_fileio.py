@@ -1,11 +1,16 @@
 """Facet, tree-family and orbit file formats: round trips and parse errors."""
 
+import itertools
+import random
+import re
+from collections import Counter
+
 import pytest
 
 from walkup import Complex, ParseError, catalog
 from walkup.catalog import a541_tree_family, presentation
 from walkup.construct import expand_orbit
-from walkup import fileio
+from walkup import fileio, generators
 
 
 class TestFacetFormat:
@@ -57,6 +62,151 @@ class TestFacetFormat:
         b = fileio.content_hash(catalog.get("B5_21"))
         assert a != b
         assert a == fileio.content_hash(catalog.get("A5_21"))
+
+
+def _reference_parse_facets(text: str) -> Complex:
+    """The token-by-token facet parser: every token is found by a regex and
+    read with its column; the result goes through ``Complex(...)``."""
+    facets = []
+    first_size = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        values = []
+        for m in re.finditer(r"\S+", raw):
+            token, column = m.group(), m.start() + 1
+            try:
+                value = int(token, 10)
+            except ValueError:
+                raise ParseError(f"expected an integer, got {token!r}",
+                                 line=lineno, column=column) from None
+            if value < 0:
+                raise ParseError(f"vertex ids must be non-negative, got {value}",
+                                 line=lineno, column=column)
+            values.append(value)
+        facet = tuple(sorted(values))
+        if len(set(facet)) != len(facet):
+            raise ParseError("duplicate vertex in facet", line=lineno)
+        if first_size is None:
+            first_size = len(facet)
+        elif len(facet) != first_size:
+            raise ParseError(
+                f"facet has {len(facet)} vertices, expected {first_size}",
+                line=lineno)
+        facets.append(facet)
+    return Complex(facets)
+
+
+def _outcome(parse, text):
+    try:
+        K = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("complex", K, K.facets, K.dim, K.vertices)
+
+
+CATALOG_COMPLEXES = ("A5_21", "A5_41", "B5_21", "B5_26", "M4_21", "M4_41",
+                     "N4_21", "N4_26", "S4_6", "nonball_example",
+                     "standard_sphere(3)", "standard_ball(4)")
+
+DIFFERENTIAL_INPUTS = [
+    "", "\n\n", "# only a comment\n", "0 1 2\n", "2 0 1",
+    # bad tokens at several columns
+    "x 1 2\n", "0 x 2\n", "0 1 x\n", "0 1 2\n3 4 five\n", "0 1 2x\n",
+    "0 1 2 #comment\n", "0,1,2\n", "0 1 2.0\n", "0 0x1 2\n",
+    "0 x -1\n", "0 -1 x\n", "x y z\n", "  0   1  x\n",
+    # signs, underscores and non-ASCII digits, as int() reads them
+    "-1 0 1\n", "0 1 -1\n", "0 -0 1\n", "+3 0 1\n", "1_0 0 1\n",
+    "1__0 0 1\n", "_1 0 1\n", "1_ 0 1\n", "\u0661\u0662 0 1\n",
+    "\uff13 0 1\n", "0 1 \u00b2\n", "\u2167 0 1\n", "0 1 " + "9" * 5000 + "\n",
+    # duplicates, unequal sizes and other whitespace
+    "0 1 1\n", "1 0 1\n", "0 1 +1\n", "0 01 1\n", "0 1 2\n0 1\n",
+    "0 1\n0 1 2\n", "0 1 2\n0 1 2 3\n3 4\n", "0\t1\t2\n1 2\t3\n",
+    "0\u00a01\u20032\n", "0 1 2\r\n1 2 3\r\n", "0 1 2\x0c\n", "\t0 1 2 \n",
+    "0 1 2\x1f3\n",
+    # comments, blank lines and repeated facets
+    "# a\n\n0 1 2\n   \n# b\n1 2 3\n", "0 1 2\n0 1 2\n2 1 0\n",
+    "  # indented comment\n0 1\n", "#0 1 2 3\n0 1\n", "0 1 2\n#\n0 1 x\n",
+    "5\n3\n5\n",
+]
+
+
+class TestParseAgainstTokenReference:
+    """``parse_facets`` reads clean lines with ``str.split``; the reference
+    reads every token with its column.  Both must agree on the complex, or
+    on the error's message, line and column."""
+
+    @pytest.mark.parametrize("text", DIFFERENTIAL_INPUTS)
+    def test_fixed_inputs(self, text):
+        assert (_outcome(fileio.parse_facets, text)
+                == _outcome(_reference_parse_facets, text))
+
+    def test_seeded_random_lines(self):
+        rng = random.Random(7)
+        tokens = ["0", "1", "2", "3", "17", "-2", "+4", "1_1", "x", "#",
+                  "\u0663", "00", "2.5", ""]
+        separators = [" ", "  ", "\t", " \t "]
+        for _ in range(400):
+            lines = []
+            for _ in range(rng.randint(0, 5)):
+                words = [rng.choice(tokens) for _ in range(rng.randint(0, 4))]
+                lines.append(rng.choice(["", " "]) + rng.choice(separators)
+                             .join(words))
+            text = "\n".join(lines) + rng.choice(["", "\n"])
+            assert (_outcome(fileio.parse_facets, text)
+                    == _outcome(_reference_parse_facets, text)), text
+
+    def test_catalog_and_generated_texts(self):
+        texts = [fileio.format_facets(catalog.get(name))
+                 for name in CATALOG_COMPLEXES]
+        texts.append(fileio.format_facets(
+            generators.random_stacked_sphere(4, 60, seed=3)))
+        for text in texts:
+            assert (_outcome(fileio.parse_facets, text)
+                    == _outcome(_reference_parse_facets, text))
+
+
+class TestTrustedConstructor:
+    """Links, boundaries and parsed files skip the canonicalisation of
+    ``Complex(...)``; each must equal the complex ``Complex(...)`` builds
+    from facets computed here by a scan of every facet."""
+
+    @staticmethod
+    def _same(A: Complex, B: Complex) -> None:
+        assert type(A) is type(B) is Complex
+        assert (A.facets, A.dim, A.vertices) == (B.facets, B.dim, B.vertices)
+        assert A == B and hash(A) == hash(B)
+
+    def _check(self, K: Complex) -> None:
+        self._same(fileio.parse_facets(fileio.format_facets(K)),
+                   Complex(K.facets))
+        ridges = Counter(r for f in K.facets
+                         for r in itertools.combinations(f, len(f) - 1))
+        if K.dim >= 1 and max(ridges.values()) <= 2:
+            self._same(K.boundary_complex(),
+                       Complex([r for r, n in ridges.items() if n == 1]))
+        for v in K.vertices[:8]:
+            self._same(K.link(v), Complex([tuple(w for w in f if w != v)
+                                           for f in K.facets if v in f]))
+
+    def test_catalog(self):
+        for name in CATALOG_COMPLEXES:
+            self._check(catalog.get(name))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_random(self, seed):
+        for d in (1, 2, 3, 4):
+            n = 5 + 7 * seed
+            self._check(generators.random_stacked_ball(d, n, seed))
+            self._check(generators.random_stacked_sphere(d, n, seed))
+            self._check(generators.random_tree_complex(d, n, seed))
+
+    def test_repeated_and_unsorted_lines(self):
+        K = fileio.parse_facets("3 1 2\n1 2 3\n0 2 1\n# c\n2 0 1\n")
+        self._same(K, Complex([(1, 2, 3), (0, 1, 2)]))
+        assert K.facets == ((0, 1, 2), (1, 2, 3))
+        self._same(fileio.parse_facets(""), Complex(()))
 
 
 class TestTreeFamilyFormat:
