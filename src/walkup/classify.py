@@ -10,6 +10,10 @@ stacking step, so a complex reduces to the boundary of a simplex exactly
 when it is a stacked sphere.  The lowest-numbered qualifying vertex is
 always taken, which keeps runs deterministic; any qualifying vertex is the
 apex over a leaf of the underlying tree, so the greedy choice is safe.
+
+Walkup membership reads the vertex stars of K: K(d) reduces every link (no
+open link reduces), and Kbar(d) asks each star to span d more vertices than
+facets and to induce a dual subtree (no ridge in three facets allows that).
 """
 
 from __future__ import annotations
@@ -70,11 +74,13 @@ def is_stacked_ball(K: Complex) -> bool:
     """
     if K.dim < 1:
         raise DomainError("stacked ball test needs dimension >= 1")
-    if not is_weak_pseudomanifold(K):
-        return False
-    if K.num_vertices != K.num_facets + K.dim:
-        return False
-    return dual_graph(K).is_tree()
+    return _spans_stacked_ball(K, range(K.num_facets), K.num_vertices)
+
+
+def _spans_stacked_ball(K: Complex, star, num_vertices: int) -> bool:
+    """True iff the facets at ``star``, on ``num_vertices`` vertices, form a
+    stacked ball; three on one ridge would be a triangle, not a subtree."""
+    return num_vertices == len(star) + K.dim and dual_graph(K).is_induced_subtree(star)
 
 
 def is_stacked_sphere(K: Complex) -> bool:
@@ -83,16 +89,23 @@ def is_stacked_sphere(K: Complex) -> bool:
     The input must be a closed complex (every ridge in exactly two facets,
     see ``is_closed``); any other complex raises ``DomainError``.
     """
-    d = K.dim
-    if d < 1:
+    if K.dim < 1:
         raise DomainError("stacked sphere test needs dimension >= 1")
     if not is_closed(K):
         raise DomainError("complex is not closed")
+    return _reverse_stacking(K.facets, K.dim)
 
-    facets = K.facets
+
+def _reverse_stacking(facets, d: int) -> bool:
+    """``is_stacked_sphere`` on distinct d-faces, with no closedness test: a
+    move keeps the facet count of every ridge not through the removed
+    vertex, and each ridge through it lies in two of its d+1 facets, so a
+    ridge in one or three facets stays, and a simplex boundary has none."""
     facet_set = set(facets)
-    incidence = {v: {facets[i] for i in star}
-                 for v, star in K.vertex_incidence(d).items()}
+    incidence: dict[int, set] = {}
+    for f in facets:
+        for v in f:
+            incidence.setdefault(v, set()).add(f)
     # a vertex's star changes only when a move fills in a facet through it,
     # so the heap holds every vertex that can qualify, lowest first
     queue = [v for v, stars in incidence.items() if len(stars) == d + 1]
@@ -137,11 +150,12 @@ def is_stacked_sphere(K: Complex) -> bool:
 
 
 def in_walkup_class(K: Complex, variant: str) -> bool:
-    """Membership in K(d), Kbar(d) or Kstar(d) by checking every vertex link.
+    """Membership in K(d), Kbar(d) or Kstar(d), read from the vertex stars.
 
-    ``K``: all vertex links are stacked (d-1)-spheres.  ``Kbar``: all vertex
-    links are stacked (d-1)-balls.  ``Kstar``: ``K`` plus 2-neighborly.  Each
-    verdict is memoized on the complex, and ``Kstar`` reuses the ``K`` one.
+    ``K``: every link reduces to a simplex boundary (an open one never
+    does).  ``Kbar``: every star, a cone over its link, spans d more vertices
+    than facets and induces a dual subtree (a ridge in three facets never
+    does).  ``Kstar``: ``K`` plus 2-neighborly.  Memoized; ``Kstar`` reuses ``K``.
     """
     if variant not in WALKUP_VARIANTS:
         raise DomainError(f"unknown Walkup variant {variant!r}; "
@@ -154,15 +168,11 @@ def in_walkup_class(K: Complex, variant: str) -> bool:
 def _walkup_verdict(K: Complex, variant: str) -> bool:
     if variant == "Kstar":
         return K.is_neighborly(2) and in_walkup_class(K, "K")
-    stacked = is_stacked_ball if variant == "Kbar" else _is_stacked_sphere_link
-    return all(stacked(K.link(v)) for v in K.vertices)
-
-
-def _is_stacked_sphere_link(link: Complex) -> bool:
-    try:
-        return is_stacked_sphere(link)
-    except DomainError:
-        return False  # link not closed, so not a sphere
+    if variant == "K":
+        return all(_reverse_stacking(K.link(v).facets, K.dim - 1) for v in K.vertices)
+    facets = K.facets
+    return all(_spans_stacked_ball(K, star, len({u for i in star for u in facets[i]}))
+               for star in K.vertex_incidence(K.dim).values())
 
 
 def cone(K: Complex) -> Complex:

@@ -5,12 +5,12 @@ of its vertices; the sorted tuple is the canonical form used everywhere
 (container ordering, matrix indexing, file output), so all derived data is
 deterministic.  Complexes are immutable after construction and safe to share
 between threads.  Derived facts (face tables, vertex and ridge incidence,
-the boundary complex, the dual graph, Betti numbers, orientability, class
-membership, the automorphism group) are memoized per instance: every entry
-is a deterministic function of the facets and is written with
-``dict.setdefault``, so threads that race on one entry compute equal values
-and all of them return the one that was stored.  Equal but distinct
-instances keep separate memos.
+vertex components, the boundary complex, the dual graph, Betti numbers,
+orientability, class membership, the automorphism group) are memoized per
+instance: every entry is a deterministic function of the facets and is
+written with ``dict.setdefault``, so threads that race on one entry compute
+equal values and all of them return the one that was stored.  Equal but
+distinct instances keep separate memos.
 
 ``Complex`` is the pure case (all maximal faces of equal dimension) and
 carries the geometric operations: links, stars, skeletons, boundary.
@@ -252,6 +252,9 @@ class GeneralComplex:
 
     def vertex_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the vertex set, via shared faces."""
+        return self._memo("vertex_components", self._vertex_components)
+
+    def _vertex_components(self) -> tuple[tuple[int, ...], ...]:
         parent = {v: v for v in self._vertices}
 
         def find(v: int) -> int:

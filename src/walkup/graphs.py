@@ -84,25 +84,22 @@ class Graph:
     def is_tree(self) -> bool:
         return self._n >= 1 and self.is_connected() and len(self._edges) == self._n - 1
 
-    def induced_edge_count(self, vertices: Iterable[int]) -> int:
-        vs = set(vertices)
-        return sum(1 for u, v in self._edges if u in vs and v in vs)
-
     def is_induced_subtree(self, vertices: Iterable[int]) -> bool:
         """True iff the induced subgraph on ``vertices`` is a tree."""
         vs = set(vertices)
         if not vs:
             return False
-        start = next(iter(vs))
-        seen = {start}
-        queue = deque([start])
+        seen = {next(iter(vs))}
+        queue = deque(seen)
+        degrees = 0  # summed inside the set: twice its induced edge count
         while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w in vs and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(vs) and self.induced_edge_count(vs) == len(vs) - 1
+            for w in self._adj[queue.popleft()]:
+                if w in vs:
+                    degrees += 1
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        return len(seen) == len(vs) and degrees == 2 * len(vs) - 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from walkup import (GF2, Q, Complex, DomainError, betti_numbers, catalog,
-                    check_lower_bounds, classify, fileio, homology,
+                    check_lower_bounds, classify, core, fileio, homology,
                     in_walkup_class, symmetry, verify_aut_equality)
 from walkup.cli import main
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
@@ -44,8 +44,9 @@ def test_verify_computes_each_walkup_verdict_once(capsys, monkeypatch):
     assert doc["walkup"] == {"K": True, "Kbar": False, "Kstar": True}
     assert doc["tightness"]["certified"]
     assert doc["homeomorphism_type"]["type"] == "(S3xS1)^#42"
-    # the 41 vertex links plus the complex itself; the parent code made 165
-    assert len(stacked) <= fresh.num_vertices + 1 == 42
+    # only the stacked_sphere stage: the K verdict runs the reduction on
+    # each vertex link without the public guard
+    assert len(stacked) == 1
     assert sorted(v for _, v in verdicts) == ["K", "Kbar", "Kstar"]
 
 
@@ -56,10 +57,38 @@ def test_verify_builds_the_dual_graph_once(tmp_path, capsys, monkeypatch):
     assert main(["verify", str(path)]) == 0
     props = json.loads(capsys.readouterr().out)["properties"]
     assert props["stacked_ball"] and props["tree_dual_graph"]
-    # the 3-dimensional vertex links are tested for stacked balls and build
-    # dual graphs of their own; the input's serves both the properties and
-    # the stacked-ball test
-    assert [K.dim for (K,) in builds].count(4) == 1
+    # the input's dual graph serves the properties, the stacked-ball test
+    # and every vertex star of the Kbar test; no link builds one of its own
+    assert [K.dim for (K,) in builds] == [4]
+
+
+def test_verify_finds_the_vertex_components_once(capsys, monkeypatch):
+    real_get = catalog.get
+    fresh = Complex(real_get("M4_21").facets)
+    monkeypatch.setattr(catalog, "get",
+                        lambda name: fresh if name == "M4_21" else real_get(name))
+    components = counting(monkeypatch, core.GeneralComplex, "_vertex_components")
+    assert main(["verify", "M4_21"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["properties"]["connected"] and doc["walkup"]["K"]
+    assert doc["homeomorphism_type"]["type"] == "(S3xS1)^#8"
+    # the connected stage and the type identification share one answer
+    assert len(components) == 1
+
+
+def test_sphere_class_builds_no_ridge_table(monkeypatch):
+    K = Complex(random_stacked_sphere(4, 800, seed=1).facets)
+    tables = counting(monkeypatch, core.Complex, "_incidence")
+    assert in_walkup_class(K, "K")
+    # the reduction needs no closedness test, so no link derives ridges
+    assert tables == []
+
+
+def test_ball_class_builds_no_link(monkeypatch):
+    A = Complex(catalog.get("A5_41").facets)
+    links = counting(monkeypatch, core.Complex, "link")
+    assert in_walkup_class(A, "Kbar")
+    assert links == []  # the stars are read from A's own tables
 
 
 def test_dual_graph_is_memoized():

@@ -14,11 +14,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from walkup import (GF2, Q, Complex, DomainError, GeneralComplex,
-                    betti_numbers, boundary_matrix, catalog, homology,
-                    is_stacked_sphere)
-from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
-                               random_stacked_sphere, random_tree_complex,
+from walkup import (GF2, Q, Complex, DomainError, GeneralComplex, Graph,
+                    betti_numbers, boundary_matrix, catalog, dual_graph,
+                    homology, in_walkup_class, is_stacked_ball,
+                    is_stacked_sphere, is_weak_pseudomanifold)
+from walkup.generators import (attach_along_codim2, cross_polytope_boundary,
+                               random_stacked_ball, random_stacked_sphere,
+                               random_tree_complex, standard_ball,
                                standard_sphere)
 from walkup.linalg import gf2_rank, int_rank
 from walkup.symmetry import (_edge_link_counts, _individualize,
@@ -626,6 +628,147 @@ class TestStackedSphereAgainstRestarts:
             assert self.verdict(is_stacked_sphere, K) == want, K
             verdicts.add(want)
         assert verdicts == {True, False, "rejected"}
+
+
+def link_building_walkup(K, variant) -> bool:
+    """Oracle: Walkup membership with every vertex link built as a complex of
+    its own and tested on its own tables.  A link must be closed and reduce
+    under ``restarting_is_stacked_sphere`` (K), or be a weak pseudomanifold
+    with f_0 = f_d + d and a tree dual graph (Kbar)."""
+    if variant == "Kstar":
+        return K.is_neighborly(2) and link_building_walkup(K, "K")
+    for v in K.vertices:
+        link = K.link(v)
+        if variant == "K":
+            try:
+                stacked = restarting_is_stacked_sphere(link)
+            except DomainError:
+                stacked = False  # not closed, so not a sphere
+        else:
+            stacked = (is_weak_pseudomanifold(link)
+                       and link.num_vertices == link.num_facets + link.dim
+                       and dual_graph(link).is_tree())
+        if not stacked:
+            return False
+    return True
+
+
+def two_spheres_at_a_vertex(d) -> Complex:
+    S = standard_sphere(d).facets
+    return Complex(S + tuple(tuple(v + d + 1 if v else 0 for v in f) for f in S))
+
+
+def random_pure_complex(rng, d) -> Complex:
+    """Up to 12 random d-faces on at most d+5 vertices."""
+    pool = list(itertools.combinations(range(rng.randint(d + 2, d + 5)), d + 1))
+    return Complex(rng.sample(pool, rng.randint(1, min(12, len(pool)))))
+
+
+class TestWalkupClassesAgainstLinks:
+    """``in_walkup_class`` reads the vertex stars of K and runs no guard on
+    a link; the oracle builds every link and checks it from scratch."""
+
+    # only the subtree test rejects these: a ridge in three facets, and
+    # weak pseudomanifold links whose dual graphs have a cycle, all with
+    # the vertex count of a stacked ball
+    THREE_ON_A_RIDGE = Complex([(0, 1, 4), (1, 2, 4), (1, 3, 4)])
+    DUAL_CYCLE = Complex([(0, 1, 2, 3), (0, 1, 3, 5), (0, 2, 3, 4),
+                          (0, 4, 5, 7), (0, 4, 6, 7), (1, 2, 4, 5),
+                          (1, 4, 5, 6), (1, 5, 6, 7)])
+    # and only the vertex count rejects this one: every star induces a
+    # subtree of the dual graph, but spans too few vertices
+    SHORT_STARS = Complex([(0, 1, 2, 3), (0, 1, 3, 4), (0, 1, 4, 5),
+                           (0, 2, 4, 5), (1, 2, 3, 5), (2, 3, 4, 5)])
+
+    @staticmethod
+    def corpus() -> list:
+        rng = random.Random(ORACLE_SEED)
+        out = [catalog.get(name) for name in CATALOG_COMPLEXES]
+        out.append(catalog.get("nonball_example"))
+        out += [cross_polytope_boundary(3), cross_polytope_boundary(4)]
+        for d in (2, 3, 4, 5):
+            out += [standard_sphere(d), standard_ball(d), two_spheres_at_a_vertex(d)]
+            for n in (1, 3, 12):
+                seed = rng.randrange(10 ** 9)
+                ball = random_stacked_ball(d, n, seed=seed)
+                out += [ball, random_stacked_sphere(d, n, seed=seed),
+                        random_tree_complex(d, n, seed=seed),
+                        random_tree_complex(d, 2 * n, seed=seed, fresh_vertex_prob=0.1),
+                        attach_along_codim2(ball, seed=seed)]
+            out += [random_pure_complex(rng, d) for _ in range(30)]
+        cls = TestWalkupClassesAgainstLinks
+        out += [cls.THREE_ON_A_RIDGE, cls.DUAL_CYCLE, cls.SHORT_STARS]
+        return out
+
+    def test_every_variant_against_built_links(self):
+        seen = {variant: set() for variant in ("K", "Kbar", "Kstar")}
+        for K in self.corpus():
+            for variant in seen:
+                want = link_building_walkup(K, variant)
+                # a fresh instance, so no verdict comes from a memo
+                assert in_walkup_class(Complex(K.facets), variant) == want, (K, variant)
+                seen[variant].add(want)
+        assert all(verdicts == {True, False} for verdicts in seen.values())
+
+    def test_cases_only_one_test_rejects(self):
+        ridge, cycle, short = self.THREE_ON_A_RIDGE, self.DUAL_CYCLE, self.SHORT_STARS
+        for K in (ridge, cycle, short):
+            assert not in_walkup_class(K, "Kbar")
+        for K in (ridge, cycle):
+            assert all(L.num_vertices == L.num_facets + L.dim
+                       for L in map(K.link, K.vertices))
+        assert not is_weak_pseudomanifold(ridge.link(1))
+        assert any(is_weak_pseudomanifold(L) and not dual_graph(L).is_tree()
+                   for L in map(cycle.link, cycle.vertices))
+        assert all(dual_graph(short).is_induced_subtree(star)
+                   for star in short.vertex_incidence(short.dim).values())
+
+    def test_stacked_ball_shares_the_star_test(self):
+        for K in self.corpus():
+            want = (is_weak_pseudomanifold(K)
+                    and K.num_vertices == K.num_facets + K.dim
+                    and dual_graph(K).is_tree())
+            assert is_stacked_ball(Complex(K.facets)) == want, K
+
+
+def edge_scan_is_induced_subtree(G, vertices) -> bool:
+    """Oracle: count the induced edges by scanning every edge of the graph,
+    and connectivity by merging the ends of each such edge."""
+    vs = set(vertices)
+    inside = [(u, v) for u, v in G.edges if u in vs and v in vs]
+    root = {v: v for v in vs}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in inside:
+        root[find(u)] = find(v)
+    return bool(vs) and len(inside) == len(vs) - 1 \
+        and len({find(v) for v in vs}) == 1
+
+
+class TestInducedSubtreeAgainstEdgeScan:
+    def test_seeded_random_graphs_and_subsets(self):
+        rng = random.Random(ORACLE_SEED)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            pairs = list(itertools.combinations(range(n), 2))
+            G = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            for _ in range(5):
+                subset = rng.sample(range(n), rng.randint(0, n))
+                want = edge_scan_is_induced_subtree(G, subset)
+                assert G.is_induced_subtree(subset) == want, (G.edges, subset)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_dual_graph_stars(self):
+        A = catalog.get("A5_41")
+        G = dual_graph(A)
+        for star in A.vertex_incidence(A.dim).values():
+            assert G.is_induced_subtree(star) == edge_scan_is_induced_subtree(G, star)
 
 
 def rescanned_free_ridges(facets) -> list:
