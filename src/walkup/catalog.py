@@ -111,16 +111,6 @@ class CatalogEntry(_Record):
     type_string: str | None = None
     facet_count: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "kind": self.kind,
-            "f_vector": list(self.f_vector) if self.f_vector else None,
-            "chi": self.chi, "beta1": self.beta1,
-            "aut_order": self.aut_order, "aut_structure": self.aut_structure,
-            "orientable": self.orientable, "type": self.type_string,
-            "facet_count": self.facet_count,
-        }
-
 
 _EXPECTED: dict[str, CatalogEntry] = {
     "M4_21": CatalogEntry(

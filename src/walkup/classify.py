@@ -11,9 +11,11 @@ when it is a stacked sphere.  The lowest-numbered qualifying vertex is
 always taken, which keeps runs deterministic; any qualifying vertex is the
 apex over a leaf of the underlying tree, so the greedy choice is safe.
 
-Walkup membership reads the vertex stars of K: K(d) reduces every link (no
-open link reduces), and Kbar(d) asks each star to span d more vertices than
-facets and to induce a dual subtree (no ridge in three facets allows that).
+Walkup membership reads the vertex stars of K: K(d) reduces every link
+(no open link reduces), whose facets are the ridges of the star opposite
+the vertex in the top boundary table, and Kbar(d) asks each star to span d
+more vertices than facets and to induce a dual subtree (no ridge in three
+facets allows that).
 """
 
 from __future__ import annotations
@@ -40,25 +42,24 @@ def dual_graph(K: Complex) -> Graph:
 
 
 def _dual_graph(K: Complex) -> Graph:
-    edges = set()
-    for owners in K.ridge_incidence().values():
-        if len(owners) > 1:
-            edges.update(itertools.combinations(owners, 2))
-    return Graph(K.num_facets, edges)
+    _, start, entries = K._cofaces(K.dim)
+    owners = [k // (K.dim + 1) for k in entries]
+    return Graph(K.num_facets, (pair for a, b in itertools.pairwise(start)
+                                for pair in itertools.combinations(owners[a:b], 2)))
 
 
 def is_weak_pseudomanifold(K: Complex) -> bool:
     """True iff every (dim-1)-face lies in at most two facets."""
     if K.dim < 1:
         raise DomainError("weak pseudomanifold test needs dimension >= 1")
-    return all(len(owners) <= 2 for owners in K.ridge_incidence().values())
+    return all(b - a <= 2 for a, b in itertools.pairwise(K._cofaces(K.dim)[1]))
 
 
 def is_closed(K: Complex) -> bool:
     """True iff every (dim-1)-face lies in exactly two facets."""
     if K.dim < 1:
         raise DomainError("closedness test needs dimension >= 1")
-    return all(len(owners) == 2 for owners in K.ridge_incidence().values())
+    return all(b - a == 2 for a, b in itertools.pairwise(K._cofaces(K.dim)[1]))
 
 
 def is_pseudomanifold(K: Complex) -> bool:
@@ -168,11 +169,14 @@ def in_walkup_class(K: Complex, variant: str) -> bool:
 def _walkup_verdict(K: Complex, variant: str) -> bool:
     if variant == "Kstar":
         return K.is_neighborly(2) and in_walkup_class(K, "K")
-    if variant == "K":
-        return all(_reverse_stacking(K.link(v).facets, K.dim - 1) for v in K.vertices)
-    facets = K.facets
+    facets, d = K.facets, K.dim
+    if variant == "K":  # the link facets of v: the ridges of its star opposite v
+        rows, ridges, w = K._cofaces(d)[0], K.faces(d - 1), d + 1
+        links = ([ridges[rows[a * w + facets[a].index(v)]] for a in star]
+                 for v, star in K.vertex_incidence(d).items())
+        return all(_reverse_stacking(link, d - 1) for link in links)
     return all(_spans_stacked_ball(K, star, len({u for i in star for u in facets[i]}))
-               for star in K.vertex_incidence(K.dim).values())
+               for star in K.vertex_incidence(d).values())
 
 
 def cone(K: Complex) -> Complex:
@@ -222,10 +226,6 @@ class BoundReport(_Record):
     @property
     def b_equality(self) -> bool:
         return self.b_lhs == self.b_rhs
-
-    @property
-    def all_satisfied(self) -> bool:
-        return self.b_satisfied and all(e.satisfied for e in self.entries)
 
     @property
     def all_equalities(self) -> bool:

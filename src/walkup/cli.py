@@ -19,6 +19,12 @@ most beta_j over GF(2) for every j, when both fields are computed) and
 K(d) members, which are manifolds).  For the same reason ``homology`` exits
 1 when beta_0 differs from the number of connected components over either
 field, or when beta_j over Q exceeds beta_j over GF(2) for some j.
+
+``euler_formula`` (K(d) members, d >= 4 even) tests chi = 2 beta_0 - 2 beta_1
+over GF(2), the connected chi = 2 - 2 beta_1 summed over components.  It
+tested chi = 2 - 2 beta_1 before, so the one changed report is that of a
+disconnected member, such as two disjoint boundaries of the 5-simplex: it
+now passes and exits 0, where it failed and exited 1.
 """
 
 from __future__ import annotations
@@ -186,7 +192,8 @@ def cmd_verify(args) -> int:
     if in_k and closed and connected and gf2 is not None:
         consistency["poincare_duality_GF2"] = gf2 == gf2[::-1]
     if in_k and gf2 is not None and K.dim >= 4 and K.dim % 2 == 0:
-        consistency["euler_formula"] = fv.chi == 2 - 2 * gf2[1]
+        # chi = 2 - 2 beta_1 on each connected member, summed over the parts
+        consistency["euler_formula"] = fv.chi == 2 * gf2[0] - 2 * gf2[1]
     if orientable is not None and q is not None:
         consistency["orientable_vs_top_betti_q"] = orientable == (q[K.dim] == 1)
     report["consistency"] = consistency

@@ -4,13 +4,18 @@ A vertex is a non-negative integer.  A face is the strictly increasing tuple
 of its vertices; the sorted tuple is the canonical form used everywhere
 (container ordering, matrix indexing, file output), so all derived data is
 deterministic.  Complexes are immutable after construction and safe to share
-between threads.  Derived facts (face tables, vertex and ridge incidence,
-vertex components, the boundary complex, the dual graph, Betti numbers,
-orientability, class membership, the automorphism group) are memoized per
-instance: every entry is a deterministic function of the facets and is
-written with ``dict.setdefault``, so threads that race on one entry compute
-equal values and all of them return the one that was stored.  Equal but
-distinct instances keep separate memos.
+between threads.  Derived facts (face tables, vertex incidence, the boundary
+table of each dimension, vertex components, the boundary complex, the dual
+graph, Betti numbers, orientability, class membership, the automorphism
+group) are memoized per instance: every entry is a deterministic function of
+the facets and is written with ``dict.setdefault``, so threads that race on
+one entry compute equal values and all of them return the one that was
+stored.  Equal but distinct instances keep separate memos.
+
+The boundary table of dimension j, the only code that derives which
+(j-1)-faces bound which j-faces, serves every reader of that relation.  Ridge
+incidence is a view of the top table, and K(d) membership reads the link
+facets of each vertex from it without building the link.
 
 ``Complex`` is the pure case (all maximal faces of equal dimension) and
 carries the geometric operations: links, stars, skeletons, boundary.
@@ -21,7 +26,8 @@ routines.
 
 from __future__ import annotations
 
-import itertools
+from array import array
+from itertools import accumulate, chain, combinations, pairwise, repeat
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -229,6 +235,29 @@ class GeneralComplex:
             return {v: tuple(ix) for v, ix in inc.items()}
         return self._memo(("vertex_incidence", j), stars)
 
+    def _cofaces(self, j: int) -> tuple[array, array, array]:
+        """The boundary table ``(rows, start, entries)`` of dimension j,
+        1 <= j <= dim; memoized.  ``rows[a*(j+1) + i]`` is the position in
+        ``faces(j - 1)`` of the a-th j-face's i-th facet, which lacks its
+        i-th vertex (sign (-1)^i).  Transposed, the (j-1)-face at position r
+        lies in the j-faces ``k // (j+1)``, k in ``entries[start[r]:start[r+1]]``
+        (increasing)."""
+        def table():
+            index = {f: i for i, f in enumerate(self.faces(j - 1))}
+            # read backwards, lexicographic j-subsets come in row order
+            rows = array("i", list(map(index.__getitem__, chain.from_iterable(
+                map(combinations, reversed(self.faces(j)), repeat(j)))))[::-1])
+            start = [0] * (len(index) + 1)
+            for r in rows:
+                start[r + 1] += 1
+            start = list(accumulate(start))
+            fill, entries = start[:-1], array("i", [0]) * len(rows)
+            for k, r in enumerate(rows):
+                entries[fill[r]] = k
+                fill[r] += 1
+            return rows, array("i", start), entries
+        return self._memo(("cofaces", j), table)
+
     def _enumerate_faces(self, k: int) -> tuple[Face, ...]:
         if k == self._dim + 1 and self.is_pure:
             return self._maximal  # already sorted and free of repeats
@@ -237,7 +266,7 @@ class GeneralComplex:
             if len(f) == k:
                 found.add(f)
             elif len(f) > k:
-                found.update(itertools.combinations(f, k))
+                found.update(combinations(f, k))
         return tuple(sorted(found))
 
     def f_vector(self) -> FaceVector:
@@ -348,15 +377,16 @@ class Complex(GeneralComplex):
         return len(self._maximal)
 
     def ridge_incidence(self) -> dict[Face, tuple[int, ...]]:
-        """Map each (dim-1)-face to the sorted indices of facets containing it."""
-        return self._memo("ridge_incidence", self._incidence)
-
-    def _incidence(self) -> dict[Face, tuple[int, ...]]:
-        inc: dict[Face, list[int]] = {}
-        for i, f in enumerate(self._maximal):
-            for ridge in itertools.combinations(f, len(f) - 1):
-                inc.setdefault(ridge, []).append(i)
-        return {r: tuple(ix) for r, ix in inc.items()}
+        """Map each (dim-1)-face to the sorted indices of facets containing
+        it: a view of the top boundary table."""
+        def view() -> dict[Face, tuple[int, ...]]:
+            d = self._dim
+            if d < 1:  # the empty face, in every facet of a 0-complex
+                return {(): tuple(range(len(self._maximal)))} if d == 0 else {}
+            _, start, entries = self._cofaces(d)
+            return {ridge: tuple(k // (d + 1) for k in entries[a:b]) for ridge, (a, b)
+                    in zip(self.faces(d - 1), pairwise(start))}
+        return self._memo("ridge_incidence", view)
 
     def _star_facets(self, v: int) -> list[Face]:
         """The facets through the vertex v; empty when v is not a vertex."""
@@ -402,16 +432,16 @@ class Complex(GeneralComplex):
     def _boundary(self) -> "Complex":
         if self.is_empty or self._dim == 0:
             return Complex(())
+        _, start, _ = self._cofaces(self._dim)
         boundary = []
-        for ridge, owners in self.ridge_incidence().items():
-            if len(owners) > 2:
-                raise DomainError(
-                    f"not a weak pseudomanifold: face {ridge} lies in "
-                    f"{len(owners)} facets")
-            if len(owners) == 1:
+        for ridge, (a, b) in zip(self.faces(self._dim - 1), pairwise(start)):
+            if b - a > 2:
+                raise DomainError(f"not a weak pseudomanifold: face {ridge} "
+                                  f"lies in {b - a} facets")
+            if b - a == 1:
                 boundary.append(ridge)
-        # ridges are distinct canonical faces of one size
-        return Complex._from_canonical(tuple(sorted(boundary)))
+        # ridges in canonical order are distinct canonical faces of one size
+        return Complex._from_canonical(tuple(boundary))
 
     def skeleton(self, j: int) -> "Complex":
         """Pure j-complex on all j-faces."""

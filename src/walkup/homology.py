@@ -17,9 +17,8 @@ d_j d_{j+1} = 0.  Torsion is out of scope.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
-from itertools import accumulate, chain, combinations, compress, cycle, repeat
+from itertools import compress, cycle
 
 from . import classify
 from .core import Complex, GeneralComplex, _Record
@@ -67,36 +66,17 @@ class ChainBoundary(_Record):
                                 _COMBINE[self.field]))
 
 
-def _boundary_rows(K: GeneralComplex, j: int) -> array:
-    """For each j-face in canonical order, the positions in ``K.faces(j - 1)``
-    of its j + 1 facets: the i-th lacks the i-th vertex, so has sign (-1)^i.
-    Read backwards, lexicographic j-subsets come in that order."""
-    index = {f: i for i, f in enumerate(K.faces(j - 1))}
-    col = list(map(index.__getitem__, chain.from_iterable(
-        map(combinations, reversed(K.faces(j)), repeat(j)))))
-    return array("i", col[::-1])
-
-
 def _coreduction(K: GeneralComplex):
-    """The boundary rows of every dimension, the alive mask of each dimension
-    after coreduction and the number of bases; memoized, for both fields.
-    In each dimension, breadth first from the rows removed below, each face
-    with one alive row goes with it; each vertex still alive is a base."""
+    """The alive mask of each dimension after coreduction and the number of
+    bases; memoized, for both fields.  In each dimension, breadth first from
+    the rows removed below, each face with one alive row goes with it; each
+    vertex still alive is a base."""
     def run():
-        store = [array("i")] + [_boundary_rows(K, j) for j in range(1, K.dim + 1)]
         alive = [bytearray(b"\x01") * len(K.faces(j)) for j in range(K.dim + 1)]
         base = 0
         for j in range(1, K.dim + 1):
-            col, w, rows, faces = store[j], j + 1, alive[j - 1], alive[j]
-            # CSR transpose: row r is at positions entries[start[r]:start[r+1]]
-            start = [0] * (len(rows) + 1)
-            for r in col:
-                start[r + 1] += 1
-            start = list(accumulate(start))
-            fill, entries = start[:-1], array("i", [0]) * len(col)
-            for k, r in enumerate(col):
-                entries[fill[r]] = k
-                fill[r] += 1
+            (col, start, entries), w = K._cofaces(j), j + 1
+            rows, faces = alive[j - 1], alive[j]
             left = bytearray([w]) * len(faces)  # rows not yet passed on
 
             def cascade(queue: deque[int]) -> None:
@@ -118,7 +98,7 @@ def _coreduction(K: GeneralComplex):
                     base += 1
                     rows[v] = 0
                     cascade(deque([v]))
-        return store, alive, base
+        return alive, base
     return K._memo("coreduction", run)
 
 
@@ -140,7 +120,7 @@ def boundary_matrix(K: GeneralComplex, j: int, field: str = GF2) -> ChainBoundar
     if not 1 <= j <= K.dim:
         raise DomainError(f"boundary dimension {j} out of range [1, {K.dim}]")
     signs = [1] if field == GF2 else [(-1) ** i for i in range(j + 1)]
-    pairs = zip(_boundary_rows(K, j), cycle(signs))
+    pairs = zip(K._cofaces(j)[0], cycle(signs))
     return ChainBoundary(dimension=j, field=field, row_faces=K.faces(j - 1),
                          col_faces=K.faces(j),
                          columns=tuple(zip(*[pairs] * (j + 1))))
@@ -192,7 +172,7 @@ def betti_numbers(K: GeneralComplex, field: str = GF2) -> BettiVector:
 
 
 def _betti(K: GeneralComplex, field: str) -> BettiVector:
-    store, alive, base = _coreduction(K)
+    alive, base = _coreduction(K)
 
     def rows_of(j: int, cleared: set[int]) -> list[dict[int, int]]:
         take = bytearray(alive[j])
@@ -201,7 +181,7 @@ def _betti(K: GeneralComplex, field: str) -> BettiVector:
         if 1 not in take:
             return []  # skip the pass over the rows of a dimension left empty
         keys = [r if up else -1 for r, up in enumerate(alive[j - 1])]  # -1: dead
-        pairs = zip(map(keys.__getitem__, store[j]),
+        pairs = zip(map(keys.__getitem__, K._cofaces(j)[0]),
                     cycle([(-1) ** i for i in range(j + 1)]))
         # in one pass in C, each j + 1 consecutive pairs become a column
         rows = list(map(dict, compress(zip(*[pairs] * (j + 1)), take)))
@@ -213,18 +193,6 @@ def _betti(K: GeneralComplex, field: str) -> BettiVector:
     return BettiVector(field=field, values=tuple(
         alive[j].count(1) - ranks[j] - ranks[j + 1] + (base if j == 0 else 0)
         for j in range(K.dim + 1)))
-
-
-def _oriented_adjacency(K: Complex):
-    """Dual edges (facet a, facet b, sign product) of a closed complex."""
-    out = []
-    for ridge, (a, b) in K.ridge_incidence().items():
-        rset = set(ridge)
-        fa, fb = K.facets[a], K.facets[b]
-        ia = fa.index(next(v for v in fa if v not in rset))
-        ib = fb.index(next(v for v in fb if v not in rset))
-        out.append((a, b, (-1) ** (ia + ib)))
-    return out
 
 
 def is_orientable(K: Complex) -> bool:
@@ -244,27 +212,29 @@ def is_orientable(K: Complex) -> bool:
 def _propagate_orientation(K: Complex) -> bool:
     if not classify.is_closed(K):
         raise DomainError("complex is not closed")
-    adjacency = _oriented_adjacency(K)
-    neighbors: dict[int, list[tuple[int, int]]] = {i: [] for i in range(K.num_facets)}
-    for a, b, sign in adjacency:
-        neighbors[a].append((b, sign))
-        neighbors[b].append((a, sign))
-    orient = [0] * K.num_facets
-    orient[0] = 1
+    entries, w = K._cofaces(K.dim)[2], K.dim + 1
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(K.num_facets)]
+    for ka, kb in zip(entries[::2], entries[1::2]):
+        # the ridge's two facets, ka // w and kb // w, lack their (ka % w)-th
+        # and (kb % w)-th vertices
+        sign = (-1) ** (ka % w + kb % w)
+        neighbors[ka // w].append((kb // w, sign))
+        neighbors[kb // w].append((ka // w, sign))
+    orient = [1] + [0] * (K.num_facets - 1)
     queue = deque([0])
-    seen = 1
+    consistent = True
     while queue:
         a = queue.popleft()
         for b, sign in neighbors[a]:
-            # epsilon_a * (-1)^{ia} = -epsilon_b * (-1)^{ib}
-            want = -orient[a] * sign
+            want = -orient[a] * sign  # eps_a (-1)^ia = -eps_b (-1)^ib
             if orient[b] == 0:
                 orient[b] = want
-                seen += 1
                 queue.append(b)
-    if seen != K.num_facets:
+            elif orient[b] != want:
+                consistent = False
+    if 0 in orient:
         raise DomainError("dual graph is not connected")
-    return all(orient[b] == -orient[a] * sign for a, b, sign in adjacency)
+    return consistent
 
 
 class TypeReport(_Record):

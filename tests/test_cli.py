@@ -166,6 +166,41 @@ class TestConsistencyChecks:
         assert code == EXIT_MISMATCH
         assert [k for k, ok in doc["consistency"].items() if not ok] == [key]
 
+    @staticmethod
+    def two_disjoint_simplex_boundaries(tmp_path) -> str:
+        S = standard_sphere(4).facets
+        path = tmp_path / "two.facets"
+        path.write_text(fileio.format_facets(
+            Complex(S + tuple(tuple(v + 6 for v in f) for f in S))))
+        return str(path)
+
+    def test_disconnected_member_satisfies_euler_formula(self, capsys, tmp_path):
+        code, doc, _ = run_json(capsys, "verify",
+                                self.two_disjoint_simplex_boundaries(tmp_path))
+        assert doc["walkup"]["K"] and not doc["properties"]["connected"]
+        assert doc["euler_characteristic"] == 4
+        assert doc["betti"] == {"GF2": [2, 0, 0, 0, 2], "Q": [2, 0, 0, 0, 2]}
+        # chi = 2 beta_0 - 2 beta_1, the connected formula summed over parts
+        assert doc["consistency"]["euler_formula"] is True
+        assert code == 0
+
+    @pytest.mark.parametrize("bad", [(2, 1, 0, 0, 2), (3, 0, 0, 0, 2)])
+    def test_wrong_beta_fails_euler_formula(self, capsys, monkeypatch,
+                                            tmp_path, bad):
+        real = homology.betti_numbers
+
+        def corrupt(K, f=homology.GF2):
+            if homology.normalize_field(f) == homology.GF2:
+                return homology.BettiVector(field=homology.GF2, values=bad)
+            return real(K, f)
+
+        monkeypatch.setattr(homology, "betti_numbers", corrupt)
+        code, doc, _ = run_json(capsys, "verify",
+                                self.two_disjoint_simplex_boundaries(tmp_path))
+        assert code == EXIT_MISMATCH
+        assert [k for k, ok in doc["consistency"].items() if not ok] == [
+            "euler_formula"]
+
 
 class TestTable1:
     def test_all_rows_match(self, capsys):

@@ -150,14 +150,14 @@ class TestBettiNumbers:
     def test_stacked_spheres_coreduce_to_one_facet(self):
         for d in (2, 3, 4):
             for seed in (1, 2, 3):
-                _, alive, base = homology._coreduction(
+                alive, base = homology._coreduction(
                     random_stacked_sphere(d, 60, seed=seed))
                 assert base == 1
                 assert [m.count(1) for m in alive] == [0] * d + [1]
 
     def test_neighborly_manifold_keeps_the_complement_of_a_star(self):
         # f = (41, 820, 2050, 2255, 902); the closed star of vertex 0 goes
-        _, alive, base = homology._coreduction(Complex(catalog.get("M4_41").facets))
+        alive, base = homology._coreduction(Complex(catalog.get("M4_41").facets))
         assert base == 1
         assert [m.count(1) for m in alive] == [0, 630, 1680, 1925, 792]
 

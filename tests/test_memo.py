@@ -11,7 +11,7 @@ import json
 import pytest
 
 from walkup import (GF2, Q, Complex, DomainError, betti_numbers, catalog,
-                    check_lower_bounds, classify, core, fileio, homology,
+                    check_lower_bounds, classify, core, fileio,
                     in_walkup_class, symmetry, verify_aut_equality)
 from walkup.cli import main
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
@@ -30,6 +30,21 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def table_builds(monkeypatch):
+    """Record (complex, j) each time a boundary table is built, not read
+    from the memo."""
+    real = core.GeneralComplex._cofaces
+    builds = []
+
+    def wrapper(K, j):
+        if ("cofaces", j) not in K._facts:
+            builds.append((K, j))
+        return real(K, j)
+
+    monkeypatch.setattr(core.GeneralComplex, "_cofaces", wrapper)
+    return builds
 
 
 def test_verify_computes_each_walkup_verdict_once(capsys, monkeypatch):
@@ -76,12 +91,34 @@ def test_verify_finds_the_vertex_components_once(capsys, monkeypatch):
     assert len(components) == 1
 
 
+def test_verify_builds_one_table_per_dimension(capsys, monkeypatch):
+    real_get = catalog.get
+    fresh = Complex(real_get("M4_21").facets)
+    monkeypatch.setattr(catalog, "get",
+                        lambda name: fresh if name == "M4_21" else real_get(name))
+    views = counting(monkeypatch, core.Complex, "ridge_incidence")
+    tables = table_builds(monkeypatch)
+    assert main(["verify", "M4_21"]) == 0
+    assert json.loads(capsys.readouterr().out)["orientable"]
+    # closedness, the dual graph, K(d), coreduction and orientability all
+    # read the one table of each dimension; none builds the ridge dict
+    assert views == []
+    assert sorted(j for K, j in tables if K is fresh) == [1, 2, 3, 4]
+
+
 def test_sphere_class_builds_no_ridge_table(monkeypatch):
     K = Complex(random_stacked_sphere(4, 800, seed=1).facets)
-    tables = counting(monkeypatch, core.Complex, "_incidence")
+    tables = table_builds(monkeypatch)
     assert in_walkup_class(K, "K")
     # the reduction needs no closedness test, so no link derives ridges
-    assert tables == []
+    assert [L for L, _ in tables if L is not K] == []
+
+
+def test_sphere_class_builds_no_link(monkeypatch):
+    K = Complex(random_stacked_sphere(4, 800, seed=1).facets)
+    links = counting(monkeypatch, core.Complex, "link")
+    assert in_walkup_class(K, "K")
+    assert links == []  # the link facets are read from K's own top table
 
 
 def test_ball_class_builds_no_link(monkeypatch):
@@ -98,8 +135,8 @@ def test_dual_graph_is_memoized():
 
 
 def test_equal_instances_keep_separate_memos(monkeypatch):
-    # one store of boundary rows per instance: a table for each of d_1 ... d_4
-    tables = counting(monkeypatch, homology, "_boundary_rows")
+    # one boundary table per dimension and instance, for d_1 ... d_4
+    tables = table_builds(monkeypatch)
     facets = catalog.get("S4_6").facets
     first, second = Complex(facets), Complex(facets)
     assert first == second and first is not second

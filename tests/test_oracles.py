@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from walkup import (GF2, Q, Complex, DomainError, GeneralComplex, Graph,
                     betti_numbers, boundary_matrix, catalog, dual_graph,
-                    homology, in_walkup_class, is_stacked_ball,
-                    is_stacked_sphere, is_weak_pseudomanifold)
+                    homology, in_walkup_class, is_closed, is_orientable,
+                    is_stacked_ball, is_stacked_sphere, is_weak_pseudomanifold)
 from walkup.generators import (attach_along_codim2, cross_polytope_boundary,
                                random_stacked_ball, random_stacked_sphere,
                                random_tree_complex, standard_ball,
@@ -248,10 +248,10 @@ class TestCoreductionAgainstFullElimination:
         two_spheres = Complex(itertools.chain(
             itertools.combinations(range(4), 3),
             itertools.combinations(range(4, 8), 3)))
-        assert homology._coreduction(two_spheres)[2] == 2
+        assert homology._coreduction(two_spheres)[1] == 2
         assert self.coreduced(two_spheres, GF2) == (2, 0, 2)
         loose = GeneralComplex([(0, 1, 2), (1, 3), (2, 3), (4,), (5,)])
-        assert homology._coreduction(loose)[2] == 3
+        assert homology._coreduction(loose)[1] == 3
         for field in (GF2, Q):
             assert self.coreduced(loose, field) == (3, 1, 0)
 
@@ -265,7 +265,7 @@ class TestCoreductionAgainstFullElimination:
         assert self.coreduced(N, GF2)[3] == 8
         assert self.coreduced(N, Q)[3] == 7
         # coreduction stalls here: most of N is left to eliminate
-        _, alive, _ = homology._coreduction(N)
+        alive, _ = homology._coreduction(N)
         assert [m.count(1) for m in alive] == [0, 120, 320, 375, 160]
 
     def test_cross_polytopes(self):
@@ -565,12 +565,22 @@ class TestLinkInvariantsAgainstLinks:
                 assert counts == link.f_vector().counts
 
 
+def scanned_ridge_incidence(K) -> dict:
+    """Oracle: each ridge mapped to the facets through it, by a scan over
+    the (d-1)-subsets of every facet."""
+    inc: dict = {}
+    for i, f in enumerate(K.facets):
+        for ridge in itertools.combinations(f, len(f) - 1):
+            inc.setdefault(ridge, []).append(i)
+    return {r: tuple(ix) for r, ix in inc.items()}
+
+
 def restarting_is_stacked_sphere(K) -> bool:
     """Oracle: reverse stacking that rescans every vertex after each move."""
     d = K.dim
     if d < 1:
         raise DomainError("stacked sphere test needs dimension >= 1")
-    if any(len(owners) != 2 for owners in K.ridge_incidence().values()):
+    if any(len(owners) != 2 for owners in scanned_ridge_incidence(K).values()):
         raise DomainError("not a closed weak pseudomanifold")
     facet_set = set(K.facets)
     incidence = {v: {f for f in K.facets if v in f} for v in K.vertices}
@@ -729,6 +739,121 @@ class TestWalkupClassesAgainstLinks:
                     and K.num_vertices == K.num_facets + K.dim
                     and dual_graph(K).is_tree())
             assert is_stacked_ball(Complex(K.facets)) == want, K
+
+
+RP2_6 = Complex([(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+                (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)])
+
+
+def outcome(check, *args):
+    """The value of ``check(*args)``, or "rejected" if it raises DomainError."""
+    try:
+        return check(*args)
+    except DomainError:
+        return "rejected"
+
+
+def searched_orientability(K) -> bool:
+    """Oracle: propagate facet orientations depth first over dual edges
+    whose signs come from searching each of the two facets on a ridge for
+    the vertex the ridge lacks.  Raises where ``is_orientable`` must."""
+    inc = scanned_ridge_incidence(K)
+    if any(len(owners) != 2 for owners in inc.values()):
+        raise DomainError("complex is not closed")
+    edges = []
+    neighbors: dict = {a: [] for a in range(K.num_facets)}
+    for ridge, (a, b) in inc.items():
+        fa, fb = K.facets[a], K.facets[b]
+        ia = fa.index(next(v for v in fa if v not in ridge))
+        ib = fb.index(next(v for v in fb if v not in ridge))
+        sign = (-1) ** (ia + ib)
+        edges.append((a, b, sign))
+        neighbors[a].append((b, sign))
+        neighbors[b].append((a, sign))
+    orient, stack = {0: 1}, [0]
+    while stack:
+        a = stack.pop()
+        for b, sign in neighbors[a]:
+            if b not in orient:
+                orient[b] = -orient[a] * sign
+                stack.append(b)
+    if len(orient) != K.num_facets:
+        raise DomainError("dual graph is not connected")
+    return all(orient[b] == -orient[a] * sign for a, b, sign in edges)
+
+
+class TestBoundaryTableAgainstScans:
+    """Ridge incidence, the dual graph, closedness, the boundary complex and
+    orientability all read the top boundary table; the oracles scan the
+    ridges of every facet and search each facet for the vertex a ridge
+    lacks."""
+
+    @staticmethod
+    def corpus() -> list:
+        rng = random.Random(ORACLE_SEED)
+        out = [catalog.get(name) for name in CATALOG_COMPLEXES]
+        out.append(catalog.get("nonball_example"))
+        for d in range(1, 6):
+            out += [standard_sphere(d), standard_ball(d)]
+        out += [cross_polytope_boundary(3), cross_polytope_boundary(4), RP2_6]
+        for d in (1, 2, 3, 4):
+            out.append(two_spheres_at_a_vertex(d))
+            for n in (1, 4, 30):
+                seed = rng.randrange(10 ** 9)
+                ball = random_stacked_ball(d, n, seed=seed)
+                out += [ball, random_stacked_sphere(d, n, seed=seed),
+                        random_tree_complex(d, n, seed=seed),
+                        random_tree_complex(d, 2 * n, seed=seed, fresh_vertex_prob=0.1)]
+                out += [attach_along_codim2(ball, seed=seed)] if d >= 2 else []
+        # two disjoint simplex boundaries: closed, with a disconnected dual graph
+        S = standard_sphere(3).facets
+        out.append(Complex(S + tuple(tuple(v + 5 for v in f) for f in S)))
+        return out
+
+    @staticmethod
+    def verdicts(K) -> dict:
+        """Compare every table reader on a fresh copy of K with its oracle."""
+        inc = scanned_ridge_incidence(K)
+        K = Complex(K.facets)  # nothing memoized yet
+        assert K.ridge_incidence() == inc
+        assert dual_graph(K).edges == tuple(sorted(
+            pair for owners in inc.values()
+            for pair in itertools.combinations(owners, 2)))
+        closed = all(len(owners) == 2 for owners in inc.values())
+        weak = all(len(owners) <= 2 for owners in inc.values())
+        assert is_closed(K) == closed
+        assert is_weak_pseudomanifold(K) == weak
+        boundary = (Complex(sorted(r for r, owners in inc.items() if len(owners) == 1))
+                    if weak else "rejected")
+        assert outcome(K.boundary_complex) == boundary
+        orientable = outcome(searched_orientability, K)
+        assert outcome(is_orientable, K) == orientable
+        return {"closed": closed, "weak": weak, "boundary": boundary != "rejected",
+                "orientable": orientable}
+
+    def test_readers_against_scans(self):
+        seen: dict = {}
+        for K in self.corpus():
+            for key, value in self.verdicts(K).items():
+                seen.setdefault(key, set()).add(value)
+        assert seen == {"closed": {True, False}, "weak": {True, False},
+                        "boundary": {True, False},
+                        "orientable": {True, False, "rejected"}}
+
+    @given(small_pure_complexes())
+    def test_small_complexes(self, K):
+        self.verdicts(K)
+
+    def test_small_complexes_reach_every_ridge_degree(self):
+        # one ridge in 1, 2 and 3 facets
+        K = Complex([(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 2, 3)])
+        assert sorted(map(len, scanned_ridge_incidence(K).values())) == [1] * 5 + [2, 2, 3]
+        assert self.verdicts(K) == {"closed": False, "weak": False,
+                                    "boundary": False, "orientable": "rejected"}
+
+    def test_complexes_of_dimension_zero_and_empty(self):
+        for K in (Complex([(0,), (2,), (5,)]), Complex(())):
+            assert K.ridge_incidence() == scanned_ridge_incidence(K)
 
 
 def edge_scan_is_induced_subtree(G, vertices) -> bool:
