@@ -42,10 +42,15 @@ def dual_graph(K: Complex) -> Graph:
 
 
 def _dual_graph(K: Complex) -> Graph:
+    """A view of the top boundary table; two facets share at most one ridge."""
     _, start, entries = K._cofaces(K.dim)
     owners = [k // (K.dim + 1) for k in entries]
-    return Graph(K.num_facets, (pair for a, b in itertools.pairwise(start)
-                                for pair in itertools.combinations(owners[a:b], 2)))
+    adj: list[list[int]] = [[] for _ in range(K.num_facets)]
+    for a, b in itertools.pairwise(start):
+        for x, y in itertools.combinations(owners[a:b], 2):
+            adj[x].append(y)
+            adj[y].append(x)
+    return Graph._from_adjacency(adj)
 
 
 def is_weak_pseudomanifold(K: Complex) -> bool:

@@ -312,12 +312,12 @@ def cmd_table1(args) -> int:
 
 def cmd_construct(args) -> int:
     family = fileio.parse_tree_family(_read_input_text(args.family))
-    report = construct.verify_hypotheses(family)
-    if not report.passed:
+    try:
+        K = construct.complex_from_tree_family(family)
+    except construct.HypothesisError as exc:
         print("construction hypotheses failed:", file=sys.stderr)
-        print(report.summary(), file=sys.stderr)
+        print(exc.report.summary(), file=sys.stderr)
         return EXIT_MISMATCH
-    K = construct.complex_from_tree_family(family)
     _emit(fileio.format_facets(K), args.out)
     return EXIT_OK
 

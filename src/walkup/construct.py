@@ -18,6 +18,7 @@ expanded by shifting every index modulo the group order.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from typing import Iterable
 
 from . import classify
@@ -129,12 +130,7 @@ def verify_hypotheses(family: TreeFamily) -> HypothesisReport:
 
     subsets = [defines_subset(family, u) for u in range(host.num_vertices)]
 
-    covered: set[tuple[int, int]] = set()
-    for hat in subsets:
-        s = sorted(hat)
-        for a in range(len(s)):
-            for b in range(a + 1, len(s)):
-                covered.add((s[a], s[b]))
+    covered = {pair for hat in subsets for pair in combinations(sorted(hat), 2)}
     intersection_failures = [(i, j) for i in range(n) for j in range(i + 1, n)
                              if (i, j) not in covered]
 

@@ -14,8 +14,9 @@ stored.  Equal but distinct instances keep separate memos.
 
 The boundary table of dimension j, the only code that derives which
 (j-1)-faces bound which j-faces, serves every reader of that relation.  Ridge
-incidence is a view of the top table, and K(d) membership reads the link
-facets of each vertex from it without building the link.
+incidence and the dual graph are views of the top table, orientation walks
+it, and K(d) membership reads the link facets of each vertex from it without
+building the link.
 
 ``Complex`` is the pure case (all maximal faces of equal dimension) and
 carries the geometric operations: links, stars, skeletons, boundary.
@@ -245,9 +246,11 @@ class GeneralComplex:
         def table():
             index = {f: i for i, f in enumerate(self.faces(j - 1))}
             # read backwards, lexicographic j-subsets come in row order
-            rows = array("i", list(map(index.__getitem__, chain.from_iterable(
-                map(combinations, reversed(self.faces(j)), repeat(j)))))[::-1])
+            rows = array("i", map(index.__getitem__, chain.from_iterable(
+                map(combinations, reversed(self.faces(j)), repeat(j)))))
+            rows.reverse()
             start = [0] * (len(index) + 1)
+            del index
             for r in rows:
                 start[r + 1] += 1
             start = list(accumulate(start))

@@ -17,6 +17,7 @@ d_j d_{j+1} = 0.  Torsion is out of scope.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from itertools import compress, cycle
 
@@ -212,24 +213,22 @@ def is_orientable(K: Complex) -> bool:
 def _propagate_orientation(K: Complex) -> bool:
     if not classify.is_closed(K):
         raise DomainError("complex is not closed")
-    entries, w = K._cofaces(K.dim)[2], K.dim + 1
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(K.num_facets)]
-    for ka, kb in zip(entries[::2], entries[1::2]):
-        # the ridge's two facets, ka // w and kb // w, lack their (ka % w)-th
-        # and (kb % w)-th vertices
-        sign = (-1) ** (ka % w + kb % w)
-        neighbors[ka // w].append((kb // w, sign))
-        neighbors[kb // w].append((ka // w, sign))
+    (rows, _, entries), w = K._cofaces(K.dim), K.dim + 1
+    # orient[a] = eps_a (-1)^(a w), so facet a's sign on its ridge at row
+    # entry k, eps_a (-1)^(k - a w), is orient[a] (-1)^k
     orient = [1] + [0] * (K.num_facets - 1)
-    queue = deque([0])
+    order = array("i", [0])  # facets in the order they were oriented
     consistent = True
-    while queue:
-        a = queue.popleft()
-        for b, sign in neighbors[a]:
-            want = -orient[a] * sign  # eps_a (-1)^ia = -eps_b (-1)^ib
+    for a in order:  # the loop also visits what it appends
+        base, s = a * w, orient[a]
+        for k in range(base, base + w):
+            r = 2 * rows[k]  # the ridge lies in two facets, at entries r, r + 1
+            e = entries[r] + entries[r + 1]
+            b = (e - k) // w
+            want = s if e % 2 else -s  # s (-1)^k = -want (-1)^(e - k)
             if orient[b] == 0:
                 orient[b] = want
-                queue.append(b)
+                order.append(b)
             elif orient[b] != want:
                 consistent = False
     if 0 in orient:

@@ -7,12 +7,14 @@ that equal but distinct instances do not share a memo.
 """
 
 import json
+import tracemalloc
 
 import pytest
 
-from walkup import (GF2, Q, Complex, DomainError, betti_numbers, catalog,
-                    check_lower_bounds, classify, core, fileio,
-                    in_walkup_class, symmetry, verify_aut_equality)
+from walkup import (GF2, Q, Complex, DomainError, Graph, TreeFamily,
+                    betti_numbers, catalog, check_lower_bounds, classify,
+                    construct, core, fileio, in_walkup_class, is_orientable,
+                    symmetry, verify_aut_equality)
 from walkup.cli import main
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
                                random_stacked_sphere, standard_ball,
@@ -186,3 +188,56 @@ def test_rejected_boundary_is_rejected_again():
     for _ in range(2):
         with pytest.raises(DomainError, match="lies in 3 facets"):
             K.boundary_complex()
+
+
+def test_construct_checks_the_hypotheses_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "A5_41.tree"
+    fileio.save_tree_family(catalog.get("A5_41_tree_family"), path)
+    checks = counting(monkeypatch, construct, "verify_hypotheses")
+    assert main(["construct", str(path)]) == 0
+    assert capsys.readouterr().out == fileio.format_facets(catalog.get("A5_41"))
+    assert len(checks) == 1  # the construction's own check, not a second one
+
+
+def test_failing_family_reports_the_hypotheses(tmp_path, capsys, monkeypatch):
+    family = TreeFamily(Graph(3, [(0, 1), (1, 2)]),
+                        (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})), 1)
+    path = tmp_path / "broken.tree"
+    fileio.save_tree_family(family, path)
+    checks = counting(monkeypatch, construct, "verify_hypotheses")
+    assert main(["construct", str(path)]) == 1
+    out, err = capsys.readouterr()
+    report = construct.verify_hypotheses(family)
+    assert not report.passed and out == ""
+    assert err == "construction hypotheses failed:\n" + report.summary() + "\n"
+    assert len(checks) == 2  # one by construct, one by this test
+
+
+def traced_memory(call):
+    """``call()`` under tracemalloc: its result, the bytes it left allocated
+    and its peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
+
+
+def test_dual_graph_retains_flat_arrays():
+    K = Complex(random_stacked_sphere(4, 800, seed=1).facets)
+    K._cofaces(K.dim)  # the table is the complex's, not the graph's
+    G, retained, _ = traced_memory(lambda: classify.dual_graph(K))
+    assert (K.num_facets, G.num_edges) == (3202, 8005)
+    # two 4-byte ids per edge and one offset per facet; a Python object per
+    # edge or per facet would not fit
+    assert retained <= 32 * (K.num_facets + G.num_edges)
+
+
+def test_orientation_walks_the_table():
+    K = Complex(random_stacked_sphere(4, 800, seed=1).facets)
+    K._cofaces(K.dim)
+    orientable, _, peak = traced_memory(lambda: is_orientable(K))
+    assert orientable and K.num_facets == 3202
+    assert peak <= 32 * K.num_facets  # no neighbour list per facet

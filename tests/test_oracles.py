@@ -17,7 +17,8 @@ from hypothesis import assume, given, settings, strategies as st
 from walkup import (GF2, Q, Complex, DomainError, GeneralComplex, Graph,
                     betti_numbers, boundary_matrix, catalog, dual_graph,
                     homology, in_walkup_class, is_closed, is_orientable,
-                    is_stacked_ball, is_stacked_sphere, is_weak_pseudomanifold)
+                    is_stacked_ball, is_stacked_sphere, is_weak_pseudomanifold,
+                    tree_family_from_complex)
 from walkup.generators import (attach_along_codim2, cross_polytope_boundary,
                                random_stacked_ball, random_stacked_sphere,
                                random_tree_complex, standard_ball,
@@ -894,6 +895,125 @@ class TestInducedSubtreeAgainstEdgeScan:
         G = dual_graph(A)
         for star in A.vertex_incidence(A.dim).values():
             assert G.is_induced_subtree(star) == edge_scan_is_induced_subtree(G, star)
+
+
+class FrozensetGraph:
+    """Reference: the graph as it was kept before CSR, with one ``frozenset``
+    of neighbours per vertex and a sorted tuple of edge tuples."""
+
+    def __init__(self, num_vertices, edges=()):
+        if num_vertices < 0:
+            raise DomainError("vertex count must be non-negative")
+        canon = set()
+        for u, v in edges:
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise DomainError(f"edge ({u}, {v}) out of range")
+            if u == v:
+                raise DomainError(f"loop at vertex {u}")
+            canon.add((u, v) if u < v else (v, u))
+        adj = tuple(set() for _ in range(num_vertices))
+        for u, v in canon:
+            adj[u].add(v)
+            adj[v].add(u)
+        self.num_vertices = num_vertices
+        self.edges = tuple(sorted(canon))
+        self.num_edges = len(self.edges)
+        self._adj = tuple(frozenset(s) for s in adj)
+
+    def neighbors(self, v):
+        return self._adj[v]
+
+    def degree(self, v):
+        return len(self._adj[v])
+
+    def has_edge(self, u, v):
+        return v in self._adj[u]
+
+    def connected_components(self):
+        seen = [False] * self.num_vertices
+        comps = []
+        for s in range(self.num_vertices):
+            if seen[s]:
+                continue
+            comp, queue = [], [s]
+            seen[s] = True
+            while queue:
+                u = queue.pop()
+                comp.append(u)
+                for w in self._adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
+    def is_connected(self):
+        return self.num_vertices == 0 or len(self.connected_components()) == 1
+
+    def is_tree(self):
+        return (self.num_vertices >= 1 and self.is_connected()
+                and self.num_edges == self.num_vertices - 1)
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.edges))
+
+
+def assert_graph_matches(G, ref, rng):
+    """Every ``Graph`` method agrees with the frozenset reference; the
+    induced-subtree test agrees with the edge scan."""
+    n = ref.num_vertices
+    assert (G.num_vertices, G.edges, G.num_edges) == (n, ref.edges, ref.num_edges)
+    for v in range(n):
+        assert G.neighbors(v) == tuple(sorted(ref.neighbors(v)))
+        assert G.degree(v) == ref.degree(v)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)]
+    for u, v in pairs + list(ref.edges[:n]):
+        assert G.has_edge(u, v) == ref.has_edge(u, v)
+    assert G.connected_components() == ref.connected_components()
+    assert G.is_connected() == ref.is_connected()
+    assert G.is_tree() == ref.is_tree()
+    for _ in range(5 if n else 0):
+        subset = rng.sample(range(n), rng.randint(1, min(n, 8)))
+        assert G.is_induced_subtree(subset) == edge_scan_is_induced_subtree(ref, subset)
+    same = Graph(n, [(v, u) for u, v in reversed(ref.edges)])
+    assert G == same and hash(G) == hash(same) == hash(ref)
+    assert G != Graph(n + 1, ref.edges)
+    assert G != Graph(n, ref.edges[1:]) or not ref.edges
+
+
+class TestGraphAgainstFrozensets:
+    """The CSR graph, and the dual graph read from the boundary table,
+    against the frozenset adjacency it replaced."""
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(ORACLE_SEED)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            # repeated and reversed pairs collapse to one edge
+            G = Graph(n, edges + edges[:2])
+            assert_graph_matches(G, FrozensetGraph(n, edges), rng)
+            verdicts.add((G.is_connected(), G.is_tree()))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_tree_family_hosts(self):
+        rng = random.Random(ORACLE_SEED)
+        hosts = [catalog.get("A5_41_tree_family").host]
+        hosts += [tree_family_from_complex(catalog.get(name)).host
+                  for name in ("A5_21", "A5_41", "B5_21", "B5_26")]
+        for host in hosts:
+            assert_graph_matches(host, FrozensetGraph(host.num_vertices, host.edges), rng)
+
+    def test_dual_graphs(self):
+        rng = random.Random(ORACLE_SEED)
+        for K in TestBoundaryTableAgainstScans.corpus():
+            ref = FrozensetGraph(K.num_facets, [
+                pair for owners in scanned_ridge_incidence(K).values()
+                for pair in itertools.combinations(owners, 2)])
+            assert_graph_matches(dual_graph(Complex(K.facets)), ref, rng)
 
 
 def rescanned_free_ridges(facets) -> list:
