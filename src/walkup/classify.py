@@ -7,9 +7,10 @@ The stacked-sphere recognizer works by reverse stacking moves: a vertex
 whose link is the boundary of a simplex is removed and its star replaced by
 the single facet on the link's vertex set.  Each such move inverts one
 stacking step, so a complex reduces to the boundary of a simplex exactly
-when it is a stacked sphere.  The lowest-numbered qualifying vertex is
-always taken, which keeps runs deterministic; any qualifying vertex is the
-apex over a leaf of the underlying tree, so the greedy choice is safe.
+when it is a stacked sphere.  Any qualifying vertex is the apex over a
+leaf of the underlying tree, so a stacked sphere reduces from whichever
+one is taken, and a run that succeeds is a sequence of inverse stackings,
+which certifies stackedness: the verdict does not depend on the order.
 
 Walkup membership reads the vertex stars of K: K(d) reduces every link
 (no open link reduces), whose facets are the ridges of the star opposite
@@ -20,7 +21,6 @@ facets allows that).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from math import comb
 
@@ -107,23 +107,22 @@ def _reverse_stacking(facets, d: int) -> bool:
     move keeps the facet count of every ridge not through the removed
     vertex, and each ridge through it lies in two of its d+1 facets, so a
     ridge in one or three facets stays, and a simplex boundary has none."""
-    facet_set = set(facets)
     incidence: dict[int, set] = {}
     for f in facets:
         for v in f:
             incidence.setdefault(v, set()).add(f)
+    count = len(facets)  # a move removes the d+1 facets of a star, adds tau
     # a vertex's star changes only when a move fills in a facet through it,
-    # so the heap holds every vertex that can qualify, lowest first
+    # so the list holds every vertex that can qualify
     queue = [v for v, stars in incidence.items() if len(stars) == d + 1]
-    heapq.heapify(queue)
 
     while True:
         # d+2 distinct (d+1)-subsets of d+2 vertices are necessarily all of
         # them, so this is the boundary of a simplex
-        if len(incidence) == d + 2 and len(facet_set) == d + 2:
+        if len(incidence) == d + 2 and count == d + 2:
             return True
         while queue:
-            v = heapq.heappop(queue)
+            v = queue.pop()
             stars = incidence.get(v, ())
             if len(stars) != d + 1:
                 continue
@@ -138,21 +137,20 @@ def _reverse_stacking(facets, d: int) -> bool:
         else:
             return False
         tau = tuple(sorted(around))
-        if tau in facet_set:
-            # the filled-in facet already exists; only the boundary
-            # simplex itself does that, and it was checked above
+        if tau in incidence[tau[0]]:
+            # the filled-in facet already exists (each vertex of tau is still
+            # a key); a stacked sphere has it only as the simplex boundary
             return False
         for f in stars:
-            facet_set.discard(f)
             for u in f:
                 if u != v:
                     incidence[u].discard(f)
         del incidence[v]
-        facet_set.add(tau)
+        count -= d
         for u in tau:
             incidence[u].add(tau)
             if len(incidence[u]) == d + 1:
-                heapq.heappush(queue, u)
+                queue.append(u)
 
 
 def in_walkup_class(K: Complex, variant: str) -> bool:

@@ -103,7 +103,7 @@ class Graph:
         return self._n == 0 or len(self.connected_components()) == 1
 
     def is_tree(self) -> bool:
-        return self._n >= 1 and self.is_connected() and self.num_edges == self._n - 1
+        return self._n >= 1 and self.num_edges == self._n - 1 and self.is_connected()
 
     def is_induced_subtree(self, vertices: Iterable[int]) -> bool:
         """True iff the induced subgraph on ``vertices`` is a tree."""

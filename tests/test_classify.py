@@ -6,9 +6,9 @@ from math import comb
 
 import pytest
 
-from walkup import (Complex, DomainError, catalog, check_lower_bounds, cone,
-                    dual_graph, in_walkup_class, is_closed, is_pseudomanifold,
-                    is_stacked_ball, is_stacked_sphere,
+from walkup import (Complex, DomainError, catalog, check_lower_bounds,
+                    classify, cone, dual_graph, in_walkup_class, is_closed,
+                    is_pseudomanifold, is_stacked_ball, is_stacked_sphere,
                     is_weak_pseudomanifold)
 from walkup.generators import (attach_along_codim2, cross_polytope_boundary,
                                random_stacked_ball, random_tree_complex,
@@ -154,6 +154,12 @@ class TestStackedSphere:
         for n in range(3, 9):
             cyc = Complex([(i, (i + 1) % n) for i in range(n)])
             assert is_stacked_sphere(cyc)
+
+    def test_reduction_stops_at_a_filled_in_facet_already_present(self):
+        # vertices 0 and 1 qualify, and the edge each would fill in is there
+        # already; a move anyway would leave three edges on three vertices
+        # and read as a triangle
+        assert not classify._reverse_stacking([(0, 1), (0, 2), (1, 2), (2, 3)], 1)
 
 
 class TestCone:

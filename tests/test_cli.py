@@ -8,7 +8,8 @@ import pytest
 from walkup import Complex, DomainError, catalog, fileio, homology
 from walkup.catalog import CatalogEntry, a541_tree_family
 from walkup.cli import EXIT_MISMATCH, main
-from walkup.generators import random_stacked_ball, standard_sphere
+from walkup.generators import (random_stacked_ball, random_stacked_sphere,
+                               standard_sphere)
 
 
 def run(capsys, *argv):
@@ -139,6 +140,76 @@ class TestVerify:
         assert "consistency: all checks pass" in out
         _, out2, _ = run(capsys, "verify", "M4_21", "--text")
         assert out == out2  # fully deterministic, no timing in text mode
+
+    def test_text_mode_ball_reports_its_boundary(self, capsys):
+        code, out, _ = run(capsys, "verify", "standard_ball(4)", "--text")
+        assert code == 0
+        assert out == (
+            "input: standard_ball(4) (sha256 565581ff013ebbb3)\n"
+            "dim 4, 5 vertices, 1 facets\n"
+            "f-vector: (5,10,10,5,1), chi = 1\n"
+            "properties: connected, neighborly, pseudomanifold, stacked_ball,"
+            " tree_dual_graph, weak_pseudomanifold\n"
+            "boundary f-vector: (5,10,10,5)\n"
+            "walkup classes: K no | Kbar yes | Kstar no\n"
+            "betti GF2: (1,0,0,0,0)\n"
+            "betti Q: (1,0,0,0,0)\n"
+            "automorphisms: order 120\n"
+            "consistency: all checks pass\n")
+
+    def test_text_mode_names_the_capacity_skip(self, capsys, tmp_path):
+        path = tmp_path / "s73.facets"
+        fileio.save_facets(random_stacked_sphere(2, 70, seed=1), path)
+        code, out, _ = run(capsys, "verify", str(path), "--text")
+        assert code == 0
+        assert out == (
+            f"input: {path} (sha256 c1b325cb968dbaf1)\n"
+            "dim 2, 73 vertices, 142 facets\n"
+            "f-vector: (73,213,142), chi = 2\n"
+            "properties: closed, connected, pseudomanifold, stacked_sphere,"
+            " weak_pseudomanifold\n"
+            "walkup classes: K yes | Kbar no | Kstar no\n"
+            "betti GF2: (1,0,1)\n"
+            "betti Q: (1,0,1)\n"
+            "orientable: yes\n"
+            "automorphisms: skipped (73 vertices exceed the automorphism"
+            " search cap of 64)\n"
+            "consistency: all checks pass\n")
+
+    def test_one_dimensional_input_has_no_walkup_verdict(self, capsys, tmp_path):
+        path = tmp_path / "c5.facets"
+        fileio.save_facets(Complex([(i, (i + 1) % 5) for i in range(5)]), path)
+        code, doc, _ = run_json(capsys, "verify", str(path))
+        assert code == 0
+        assert doc["input"] == {"name": None, "path": str(path), "sha256":
+                                "0a7e9d776abf75b1d3648a8894d3abf7"
+                                "d461518b6cc2e3e0f85b100e060fa2cc"}
+        del doc["input"]
+        assert strip_timing(doc) == {
+            "automorphisms": {"generators": [[0, 4, 3, 2, 1], [1, 0, 4, 3, 2]],
+                              "order": 10, "structure": None},
+            "betti": {"GF2": [1, 1], "Q": [1, 1]},
+            "boundary_f_vector": None,
+            "bounds": None,
+            "consistency": {"betti_Q_le_GF2": True,
+                            "orientable_vs_top_betti_q": True},
+            "dim": 1,
+            "euler_characteristic": 0,
+            "f_vector": [5, 5],
+            "homeomorphism_type": None,
+            "num_facets": 5,
+            "num_vertices": 5,
+            "orientable": True,
+            "properties": {"closed": True, "connected": True,
+                           "neighborly": False, "pseudomanifold": True,
+                           "stacked_ball": False, "stacked_sphere": True,
+                           "tree_dual_graph": False,
+                           "weak_pseudomanifold": True},
+            "schema": 2,
+            "seed": 0,
+            "tightness": None,
+            "walkup": None,
+        }
 
 
 class TestConsistencyChecks:

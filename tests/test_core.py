@@ -228,6 +228,9 @@ class TestBoundary:
     def test_boundary_of_closed_complex_is_empty(self):
         assert standard_sphere(4).boundary_complex().is_empty
 
+    def test_boundary_of_zero_dimensional_complex_is_empty(self):
+        assert Complex([(0,), (1,), (2,)]).boundary_complex().is_empty
+
     def test_boundary_of_21_vertex_complex(self):
         B = catalog.get("A5_21").boundary_complex()
         assert B == catalog.get("M4_21")

@@ -89,6 +89,26 @@ class TestBoundaryMatrix:
         with pytest.raises(DomainError):
             boundary_matrix(standard_ball(2), 3, GF2)
 
+    @pytest.mark.parametrize("field", [GF2, Q])
+    def test_composition_check_catches_a_corrupted_incidence(self, monkeypatch,
+                                                             field):
+        real = homology.boundary_matrix
+
+        def corrupted(K, j, field):
+            m = real(K, j, field)
+            if j < K.dim:
+                return m
+            (row, _), *rest = m.columns[0]  # the first facet loses a ridge
+            return homology.ChainBoundary(
+                dimension=m.dimension, field=m.field, row_faces=m.row_faces,
+                col_faces=m.col_faces,
+                columns=(((row, 0), *rest), *m.columns[1:]))
+
+        S = standard_sphere(3)
+        assert composes_to_zero(S, 3, field)
+        monkeypatch.setattr(homology, "boundary_matrix", corrupted)
+        assert not composes_to_zero(S, 3, field)
+
 
 class TestBettiNumbers:
     def test_first_betti_of_21_vertex_orientable(self):

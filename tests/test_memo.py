@@ -93,6 +93,20 @@ def test_verify_finds_the_vertex_components_once(capsys, monkeypatch):
     assert len(components) == 1
 
 
+def test_verify_walks_the_dual_graph_once(capsys, monkeypatch):
+    real_get = catalog.get
+    fresh = Complex(real_get("M4_21").facets)
+    monkeypatch.setattr(catalog, "get",
+                        lambda name: fresh if name == "M4_21" else real_get(name))
+    passes = counting(monkeypatch, Graph, "connected_components")
+    assert main(["verify", "M4_21"]) == 0
+    props = json.loads(capsys.readouterr().out)["properties"]
+    assert props["pseudomanifold"] and not props["tree_dual_graph"]
+    # the pseudomanifold test walks it; a closed complex has too many dual
+    # edges for a tree, which the edge count says without a walk
+    assert len(passes) == 1
+
+
 def test_verify_builds_one_table_per_dimension(capsys, monkeypatch):
     real_get = catalog.get
     fresh = Complex(real_get("M4_21").facets)

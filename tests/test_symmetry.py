@@ -1,7 +1,9 @@
 """Automorphism search: prescribed actions, full groups, relabeling behavior."""
 
+import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,6 +164,76 @@ class TestAutomorphismGroup:
         K = Complex(catalog.get("M4_41").facets)  # a fresh, empty memo
         assert automorphism_group(K).order == 41
         assert len(calls) <= 10
+
+    def test_refinement_divergence_prunes_a_branch(self, monkeypatch):
+        # C6 + C3 + C3: all 12 vertices have degree 2, so colour refinement
+        # cannot split the uniform start, and mapping a hexagon vertex onto
+        # a triangle vertex is refuted only after individualizing further
+        real = symmetry._refine_pair
+        diverged = []
+
+        def counting(*args):
+            result = real(*args)
+            diverged.append(result is None)
+            return result
+
+        monkeypatch.setattr(symmetry, "_refine_pair", counting)
+        cycles = [(0, 6), (6, 9), (9, 12)]  # (first vertex, end) of each cycle
+        K = Complex(tuple(sorted((a + i, a + (i + 1) % (b - a))))
+                    for a, b in cycles for i in range(b - a))
+        assert K.vertices == tuple(range(12)) and K.num_facets == 12
+        # |D_6| * |D_3|^2 * 2 for the swap of the two triangles
+        assert automorphism_group(K).order == 12 * 6 * 6 * 2
+        assert any(diverged)
+
+    def test_search_is_exact_when_refinement_prunes_nothing(self, monkeypatch):
+        # a refinement that compares only colour multisets is sound but
+        # weak, so the search meets leaves that are not automorphisms and
+        # subtrees with none; the leaf check alone must keep it exact
+        def coarse(dom, cod, pinv, n):
+            if sorted(dom) != sorted(cod):
+                return None
+            intern = {c: i for i, c in enumerate(sorted(set(dom)))}
+            return [intern[c] for c in dom], [intern[c] for c in cod]
+
+        monkeypatch.setattr(symmetry, "_refine_pair", coarse)
+        dead_ends = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_name != "first_automorphism":
+                return None
+            frame.f_trace_lines = False
+
+            def local(frame, event, arg):
+                # None with a target cell: every child of a branch failed
+                if event == "return" and arg is None \
+                        and frame.f_locals.get("step") is not None:
+                    dead_ends.append(1)
+            return local
+
+        rng = random.Random(RELABEL_SEED + 1)
+        for _ in range(24):
+            n = rng.randint(4, 7)
+            k = rng.randint(2, 3)
+            faces = rng.sample(list(itertools.combinations(range(n), k)),
+                               rng.randint(n - 2, n + 2))
+            K = Complex(faces)
+            if K.vertices != tuple(range(K.num_vertices)):
+                continue
+            facets = set(K.facets)
+            brute = sum(all(tuple(sorted(p[v] for v in f)) in facets
+                            for f in facets)
+                        for p in itertools.permutations(range(K.num_vertices)))
+            previous = sys.gettrace()
+            if not dead_ends:  # trace until the branch has been seen
+                sys.settrace(tracer)
+            try:
+                desc = automorphism_group(K)
+            finally:
+                sys.settrace(previous)
+            assert desc.order == brute
+            assert all(is_automorphism(K, g) for g in desc.generators)
+        assert dead_ends
 
     def test_determinism_across_recomputation(self):
         K = catalog.get("B5_26")
