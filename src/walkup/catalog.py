@@ -3,9 +3,7 @@
 The four 5-dimensional complexes are produced from their cyclic orbit
 presentations (label class k of group order m occupies vertex ids
 [k*m, (k+1)*m), so expansions are bit-reproducible); their boundaries are
-the four closed 4-manifolds.  ``expected`` returns the reference record for
-each entry, and ``dual_structure`` checks the advertised cycle-and-path
-decomposition of each dual graph edge by edge.
+the four closed 4-manifolds.  ``expected`` returns each entry's record.
 
 Entry names are stable ASCII identifiers (``A5_21``, ``M4_41``, ...); the
 parametrized families are addressed as ``standard_sphere(d)`` and
@@ -18,7 +16,7 @@ import re
 from functools import lru_cache
 from math import comb
 
-from . import classify, construct, generators
+from . import construct, generators
 from .construct import OrbitPresentation, TreeFamily, basic_facets_from_strings
 from .core import Complex, _Record
 from .errors import DomainError
@@ -70,20 +68,6 @@ BOUNDARY_OF = {
     "N4_21": "B5_21",
     "N4_26": "B5_26",
     "M4_41": "A5_41",
-}
-
-# the three-cycle/two-cycle/path shape of each dual graph:
-# (cycle descriptions as (facet-name sequence, index step per full sweep),
-#  path as a facet-name sequence at constant index)
-DUAL_SHAPES = {
-    "A5_21": ((("sigma", "kappa", "tau"), 1), (("mu", "nu", "gamma"), 3),
-              ("sigma", "alpha", "beta", "mu")),
-    "B5_21": ((("sigma", "kappa", "tau"), 1), (("mu", "nu", "gamma"), 3),
-              ("sigma", "alpha", "beta", "mu")),
-    "B5_26": ((("sigma", "tau"), 1), (("mu", "delta"), 8),
-              ("sigma", "alpha", "beta", "gamma", "mu")),
-    "A5_41": ((("sigma",), 1), (("mu",), 7),
-              ("sigma", "alpha", "beta", "gamma", "delta", "mu")),
 }
 
 # offsets of the tree through host-path index i, per path class
@@ -163,10 +147,6 @@ def presentation(name: str) -> OrbitPresentation:
     return OrbitPresentation(
         classes=classes, order=order,
         basic_facets=basic_facets_from_strings(r for _, r in rows))
-
-
-def basic_facet_names(name: str) -> tuple[str, ...]:
-    return tuple(n for n, _ in ORBIT_BASIC_FACETS[name][2])
 
 
 def names() -> tuple[str, ...]:
@@ -250,65 +230,3 @@ def a541_tree_family() -> TreeFamily:
         trees.append(frozenset(members))
     return TreeFamily(host=host, trees=tuple(trees), dimension=5)
 
-
-class DualStructureReport(_Record):
-    """Comparison of a dual graph against its advertised decomposition."""
-
-    name: str
-    num_facets: int
-    expected_edges: int
-    actual_edges: int
-    missing: tuple[tuple[str, str], ...]
-    extra: tuple[tuple[int, int], ...]
-
-    @property
-    def matches(self) -> bool:
-        return not self.missing and not self.extra
-
-
-def dual_structure(name: str) -> DualStructureReport:
-    """Verify the cycle-and-path decomposition of a catalog dual graph."""
-    if name not in DUAL_SHAPES:
-        raise DomainError(f"no dual structure recorded for {name!r}")
-    pres = presentation(name)
-    order = pres.order
-    fnames = basic_facet_names(name)
-    labeled = construct.expand_orbit_labeled(pres)
-    by_label = {(fnames[b], shift): facet for (b, shift), facet in labeled.items()}
-
-    K = get(name)
-    facet_index = {f: i for i, f in enumerate(K.facets)}
-    dual = classify.dual_graph(K)
-
-    (cycle1, step1), (cycle2, step2), path = DUAL_SHAPES[name]
-    expected_pairs: set[tuple[tuple[str, int], tuple[str, int]]] = set()
-    for i in range(order):
-        for a, b in zip(cycle1, cycle1[1:]):
-            expected_pairs.add(((a, i), (b, i)))
-        expected_pairs.add(((cycle1[-1], i), (cycle1[0], (i + step1) % order)))
-        for a, b in zip(cycle2, cycle2[1:]):
-            expected_pairs.add(((a, i), (b, i)))
-        expected_pairs.add(((cycle2[-1], i), (cycle2[0], (i + step2) % order)))
-        for a, b in zip(path, path[1:]):
-            expected_pairs.add(((a, i), (b, i)))
-
-    expected_edges = set()
-    for la, lb in expected_pairs:
-        ia, ib = facet_index[by_label[la]], facet_index[by_label[lb]]
-        expected_edges.add((min(ia, ib), max(ia, ib)))
-
-    actual = set(dual.edges)
-    label_of = {facet_index[f]: lab for lab, f in by_label.items()}
-    missing = tuple(sorted(
-        (f"{label_of[a][0]}{label_of[a][1]}", f"{label_of[b][0]}{label_of[b][1]}")
-        for a, b in expected_edges - actual))
-    extra = tuple(sorted(actual - expected_edges))
-    return DualStructureReport(
-        name=name, num_facets=K.num_facets,
-        expected_edges=len(expected_edges), actual_edges=len(actual),
-        missing=missing, extra=extra)
-
-
-def a541_dual_structure() -> DualStructureReport:
-    """The decomposition check for the 41-vertex complex."""
-    return dual_structure("A5_41")

@@ -71,25 +71,9 @@ class HypothesisReport(_Record):
     pair_failures: tuple[tuple[int, int, int, bool], ...]
 
     @property
-    def subtrees_ok(self) -> bool:
-        return not self.tree_failures
-
-    @property
-    def intersecting_ok(self) -> bool:
-        return not self.intersection_failures
-
-    @property
-    def coverage_ok(self) -> bool:
-        return not self.coverage_failures
-
-    @property
-    def pairs_ok(self) -> bool:
-        return not self.pair_failures
-
-    @property
     def passed(self) -> bool:
-        return (self.subtrees_ok and self.intersecting_ok
-                and self.coverage_ok and self.pairs_ok)
+        return not (self.tree_failures or self.intersection_failures
+                    or self.coverage_failures or self.pair_failures)
 
     def summary(self) -> str:
         if self.passed:
@@ -268,35 +252,17 @@ def basic_facets_from_strings(rows: Iterable[str]) -> tuple[tuple[Label, ...], .
 
 
 def expand_orbit(presentation: OrbitPresentation) -> Complex:
-    """Apply every shift of the cyclic group to the basic facets."""
-    return Complex(expand_orbit_labeled(presentation).values())
-
-
-def expand_orbit_labeled(presentation: OrbitPresentation) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Expansion keyed by (basic facet position, shift), for structure checks.
+    """Apply every shift of the cyclic group to the basic facets.
 
     Raises ``DomainError`` when a shifted facet repeats a vertex.
     """
     m = presentation.order
-    out = {}
-    for b, facet in enumerate(presentation.basic_facets):
-        for shift in range(m):
-            shifted = tuple(sorted(
-                presentation.vertex_id((cls, (idx + shift) % m))
-                for cls, idx in facet))
-            if len(set(shifted)) != len(shifted):
-                raise DomainError(
-                    f"facet {facet} collapses under shift {shift}")
-            out[(b, shift)] = shifted
-    return out
-
-
-def orbit_shift_permutation(presentation: OrbitPresentation) -> tuple[int, ...]:
-    """The vertex permutation realizing a unit shift of every label index."""
-    m = presentation.order
-    n = presentation.num_vertices
-    perm = [0] * n
-    for k in range(len(presentation.classes)):
-        for idx in range(m):
-            perm[k * m + idx] = k * m + (idx + 1) % m
-    return tuple(perm)
+    facets = []
+    for facet in presentation.basic_facets:
+        # a shift permutes the labels, so a facet collapses under some
+        # shift exactly when it repeats a label, that is under shift 0
+        if len(set(facet)) != len(facet):
+            raise DomainError(f"facet {facet} collapses under shift 0")
+        facets.extend([presentation.vertex_id((cls, (idx + shift) % m))
+                       for cls, idx in facet] for shift in range(m))
+    return Complex(facets)

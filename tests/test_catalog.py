@@ -3,9 +3,29 @@
 import pytest
 
 from walkup import DomainError, catalog, dual_graph, is_stacked_ball
-from walkup.catalog import (a541_dual_structure, a541_tree_family,
-                            basic_facet_names, dual_structure, presentation)
+from walkup.catalog import a541_tree_family, presentation
 from walkup.construct import defines_subset
+
+# the paper's dual graph of each 5-complex: two facet cycles joined by a
+# path, as (first cycle, index step per sweep), (second cycle, step), path
+DUAL_SHAPES = {
+    "A5_21": ((("sigma", "kappa", "tau"), 1), (("mu", "nu", "gamma"), 3),
+              ("sigma", "alpha", "beta", "mu")),
+    "B5_21": ((("sigma", "kappa", "tau"), 1), (("mu", "nu", "gamma"), 3),
+              ("sigma", "alpha", "beta", "mu")),
+    "B5_26": ((("sigma", "tau"), 1), (("mu", "delta"), 8),
+              ("sigma", "alpha", "beta", "gamma", "mu")),
+    "A5_41": ((("sigma",), 1), (("mu",), 7),
+              ("sigma", "alpha", "beta", "gamma", "delta", "mu")),
+}
+
+
+def shifted_facet(name, basic, shift):
+    """The facet that basic facet ``basic`` of ``name`` gives under ``shift``."""
+    pres = presentation(name)
+    row = [n for n, _ in catalog.ORBIT_BASIC_FACETS[name][2]].index(basic)
+    return tuple(sorted(pres.vertex_id((c, (i + shift) % pres.order))
+                        for c, i in pres.basic_facets[row]))
 
 
 class TestTranscription:
@@ -81,33 +101,32 @@ class TestExpectedRecords:
 
 
 class TestDualStructures:
-    def test_all_four_decompositions_match(self):
-        for name in ("A5_21", "B5_21", "B5_26", "A5_41"):
-            report = dual_structure(name)
-            assert report.matches, (name, report.missing[:5], report.extra[:5])
-
-    def test_41_vertex_report_details(self):
-        report = a541_dual_structure()
-        assert report.expected_edges == 287 == report.actual_edges
-        assert report.num_facets == 246
+    @pytest.mark.parametrize("name, total", [
+        ("A5_21", 63), ("B5_21", 63), ("B5_26", 104), ("A5_41", 287)])
+    def test_all_four_decompositions_match(self, name, total):
+        K = catalog.get(name)
+        index = {f: i for i, f in enumerate(K.facets)}
+        m = presentation(name).order
+        *cycles, path = DUAL_SHAPES[name]
+        pairs = set()
+        for i in range(m):
+            for cycle, step in cycles:
+                pairs.update(((a, i), (b, i)) for a, b in zip(cycle, cycle[1:]))
+                pairs.add(((cycle[-1], i), (cycle[0], (i + step) % m)))
+            pairs.update(((a, i), (b, i)) for a, b in zip(path, path[1:]))
+        advertised = {tuple(sorted(index[shifted_facet(name, *end)]
+                                   for end in pair)) for pair in pairs}
+        assert len(advertised) == total
+        assert set(dual_graph(K).edges) == advertised
 
     def test_second_cycle_steps_by_seven(self):
         # mu_0 -- mu_7 must be a dual edge of the 41-vertex complex
-        pres = presentation("A5_41")
-        from walkup.construct import expand_orbit_labeled
-        labeled = expand_orbit_labeled(pres)
-        mu = basic_facet_names("A5_41").index("mu")
         K = catalog.get("A5_41")
-        facet_index = {f: i for i, f in enumerate(K.facets)}
+        index = {f: i for i, f in enumerate(K.facets)}
+        mu = [index[shifted_facet("A5_41", "mu", s)] for s in (0, 7, 14)]
         dual = dual_graph(K)
-        assert dual.has_edge(facet_index[labeled[(mu, 0)]],
-                             facet_index[labeled[(mu, 7)]])
-        assert dual.has_edge(facet_index[labeled[(mu, 7)]],
-                             facet_index[labeled[(mu, 14)]])
-
-    def test_edge_totals(self):
-        assert dual_structure("A5_21").expected_edges == 63
-        assert dual_structure("B5_26").expected_edges == 104
+        assert dual.has_edge(mu[0], mu[1])
+        assert dual.has_edge(mu[1], mu[2])
 
 
 class TestTreeFamilyData:

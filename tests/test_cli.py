@@ -445,6 +445,13 @@ class TestInputErrors:
         assert code == 2
         assert err == f"input error: {message}\n"
 
+    def test_catalog_entry_that_is_not_a_complex(self, capsys):
+        code, out, err = run(capsys, "verify", "A5_41_tree_family")
+        assert code == 2
+        assert out == ""
+        assert err == ("input error: catalog entry 'A5_41_tree_family' "
+                       "is not a complex\n")
+
     @pytest.mark.parametrize("argv", [
         ["table1"], ["construct", "-"], ["decompose", "A5_21"],
         ["export", "S4_6"], ["homology", "S4_6"],

@@ -9,8 +9,7 @@ from walkup import (DomainError, Graph, OrbitPresentation, TreeFamily,
                     catalog, complex_from_tree_family, defines_subset,
                     expand_orbit, is_automorphism, is_pseudomanifold,
                     tree_family_from_complex, verify_hypotheses)
-from walkup.construct import (HypothesisError, expand_orbit_labeled,
-                              orbit_shift_permutation)
+from walkup.construct import HypothesisError
 from walkup.catalog import a541_tree_family, presentation
 from walkup.generators import random_stacked_ball
 from walkup.classify import cone
@@ -78,6 +77,18 @@ class TestVerifyHypotheses:
         report = verify_hypotheses(fam)
         assert any(i == 2 and "expected 2" in why
                    for i, why in report.tree_failures)
+
+    def test_summary_names_each_failing_condition(self):
+        # two disjoint one-vertex trees on an edge: conditions 1 to 3 fail
+        fam = TreeFamily(Graph(2, [(0, 1)]), (frozenset({0}), frozenset({1})), 1)
+        assert verify_hypotheses(fam).summary().splitlines() == [
+            "condition 1 (pairwise intersection): 1 disjoint pairs, "
+            "e.g. ((0, 1),)",
+            "condition 2 (each vertex in exactly d+1 trees): 2 failing "
+            "vertices, e.g. ((0, 1), (1, 1))",
+            "condition 3 (d shared trees iff edge): 1 failing pairs, "
+            "e.g. ((0, 1, 0, True),)",
+        ]
 
 
 def _reference_pair_failures(family: TreeFamily):
@@ -258,19 +269,14 @@ class TestExpandOrbit:
         for name in ("A5_21", "B5_21", "B5_26", "A5_41"):
             pres = presentation(name)
             K = expand_orbit(pres)
-            assert is_automorphism(K, orbit_shift_permutation(pres))
+            m = pres.order
+            shift = tuple(pres.vertex_id((c, (i + 1) % m))
+                          for c in pres.classes for i in range(m))
+            assert is_automorphism(K, shift)
 
-    def test_labeled_expansion_covers_all_facets(self):
-        pres = presentation("B5_26")
-        labeled = expand_orbit_labeled(pres)
-        assert len(labeled) == 91
-        assert set(labeled.values()) == set(expand_orbit(pres).facets)
-
-    def test_repeated_label_rejected_by_both_expansions(self):
+    def test_repeated_label_rejected(self):
         pres = OrbitPresentation(classes=("a", "b"), order=3,
                                  basic_facets=((("a", 0), ("b", 1), ("a", 0)),))
-        with pytest.raises(DomainError, match="collapses under shift 0"):
-            expand_orbit_labeled(pres)
         with pytest.raises(DomainError, match="collapses under shift 0"):
             expand_orbit(pres)
 

@@ -245,6 +245,25 @@ class TestTreeFamilyFormat:
         assert fam.dimension == 1 and fam.num_trees == 3
         assert fileio.parse_tree_family(fileio.format_tree_family(fam)) == fam
 
+    def test_file_round_trip(self, tmp_path):
+        path = tmp_path / "a541.tree"
+        fileio.save_tree_family(a541_tree_family(), path)
+        assert fileio.load_tree_family(path) == a541_tree_family()
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 2 2\ne 0\n", "edge lines are 'e u v' (line 2)"),
+        ("2 2 2\nt\n", "tree lines are 't i v1 v2 ...' (line 2)"),
+        ("# two trees\n2 2 2\nt 0\nt 1 0 x\n",
+         "expected an integer, got 'x' (line 4, column 7)"),
+        ("1 2 2\ne 0 5\nt 0 0\nt 1 1\n", "edge (0, 5) out of range"),
+    ])
+    def test_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.tree"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            fileio.load_tree_family(path)
+        assert str(err.value) == message
+
 
 class TestOrbitFormat:
     def test_round_trip_catalog_presentations(self):
@@ -269,6 +288,11 @@ class TestOrbitFormat:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             fileio.parse_orbit_presentation("# nothing\n")
+
+    def test_header_without_classes(self):
+        with pytest.raises(ParseError) as err:
+            fileio.parse_orbit_presentation("7\n")
+        assert str(err.value) == "header must be 'm class1 class2 ...' (line 1)"
 
     def test_out_of_range_index(self):
         with pytest.raises(ParseError):

@@ -1,4 +1,4 @@
-"""The contract of the thirteen result records.
+"""The contract of the twelve result records.
 
 Every record is immutable, built positionally or by keyword from its fields
 in declaration order, equal and hashed by its field values within one class,
@@ -35,8 +35,6 @@ FIELDS = {
     "CatalogEntry": ("name", "kind", "f_vector", "chi", "beta1", "aut_order",
                      "aut_structure", "orientable", "type_string",
                      "facet_count"),
-    "DualStructureReport": ("name", "num_facets", "expected_edges",
-                            "actual_edges", "missing", "extra"),
 }
 
 
@@ -55,12 +53,12 @@ def records() -> dict:
         verify_hypotheses(_path_family()), catalog.presentation("A5_21"),
         homology.boundary_matrix(S, 2, homology.Q), betti_numbers(S),
         homology.identify_type(S), certify_tight(S), automorphism_group(S),
-        catalog.expected("M4_21"), catalog.dual_structure("A5_21"),
+        catalog.expected("M4_21"),
     ]
     return {type(r).__name__: r for r in made}
 
 
-def test_the_thirteen_records_share_the_base(records):
+def test_the_twelve_records_share_the_base(records):
     assert sorted(records) == sorted(FIELDS)
     for r in records.values():
         assert isinstance(r, _Record)
