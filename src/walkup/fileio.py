@@ -39,7 +39,9 @@ def _tokens(raw: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(raw)]
 
 
-def _int_token(token: str, column: int, lineno: int) -> int:
+def _int_token(token: str, column: int, lineno: int,
+               below: int | None = None) -> int:
+    """A non-negative integer token, less than ``below`` if that is given."""
     try:
         value = int(token, 10)
     except ValueError:
@@ -47,6 +49,9 @@ def _int_token(token: str, column: int, lineno: int) -> int:
                          line=lineno, column=column) from None
     if value < 0:
         raise ParseError(f"vertex ids must be non-negative, got {value}",
+                         line=lineno, column=column)
+    if below is not None and value >= below:
+        raise ParseError(f"host vertex {value} out of range [0, {below})",
                          line=lineno, column=column)
     return value
 
@@ -104,20 +109,25 @@ def parse_tree_family(text: str) -> TreeFamily:
             if len(tokens) != 3:
                 raise ParseError("header must be 'd n |V(G)|'", line=lineno)
             header = tuple(_int_token(t, col, lineno) for t, col in tokens)
+            host_size = header[2]
             continue
         tag, tag_col = tokens[0]
         if tag == "e":
             if len(tokens) != 3:
                 raise ParseError("edge lines are 'e u v'", line=lineno)
-            edges.append((_int_token(*tokens[1], lineno),
-                          _int_token(*tokens[2], lineno)))
+            u, v = (_int_token(t, col, lineno, host_size)
+                    for t, col in tokens[1:])
+            if u == v:
+                raise ParseError(f"loop at vertex {u}", line=lineno,
+                                 column=tokens[2][1])
+            edges.append((u, v))
         elif tag == "t":
             if len(tokens) < 2:
                 raise ParseError("tree lines are 't i v1 v2 ...'", line=lineno)
             index = _int_token(*tokens[1], lineno)
             if index in trees:
                 raise ParseError(f"tree {index} defined twice", line=lineno)
-            trees[index] = frozenset(_int_token(t, col, lineno)
+            trees[index] = frozenset(_int_token(t, col, lineno, host_size)
                                      for t, col in tokens[2:])
         else:
             raise ParseError(f"unknown line tag {tag!r}", line=lineno,

@@ -13,13 +13,20 @@ is left all come from eliminations, taken top-down with clearing (Chen and
 Kerber 2011; Bauer, Kerber and Reininghaus 2014): the j-faces that were
 pivot columns of d_{j+1} are left out of d_j, which keeps rank d_j as
 d_j d_{j+1} = 0.  Torsion is out of scope.
+
+The cascade and the kernel also run under a face mask of K, on an induced
+subcomplex Y or on the pair (K, Y), and the brute-force tightness check
+reads both.  By the long exact sequence of the pair,
+sum beta(Y) + sum beta(K, Y) - sum beta(K) is twice the total dimension of
+ker(H_*(Y) -> H_*(K)), so it is 0 iff every map is injective (Kuehnel
+1995).  Two checks can fail: a negative or an odd difference is a bug.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import compress, cycle
+from itertools import accumulate, compress, cycle, pairwise
 
 from . import classify
 from .core import Complex, GeneralComplex, _Record
@@ -32,6 +39,9 @@ Q = "Q"
 TIGHTNESS_VERTEX_CAP = 16
 
 _COMBINE = {GF2: _xor_into, Q: _fraction_free_into}
+# byte tables: a count of 0 becomes 1 and any other 0, or the reverse
+_ZERO = bytes([1]) + bytes(255)
+_NONZERO = bytes([0]) + bytes([1]) * 255
 
 
 def normalize_field(field: str) -> str:
@@ -67,50 +77,72 @@ class ChainBoundary(_Record):
                                 _COMBINE[self.field]))
 
 
-def _coreduction(K: GeneralComplex):
+def _coreduction(K: GeneralComplex, alive: list[bytearray] | None = None,
+                 relative: bool = False):
     """The alive mask of each dimension after coreduction and the number of
-    bases; memoized, for both fields.  In each dimension, breadth first from
-    the rows removed below, each face with one alive row goes with it; each
-    vertex still alive is a base."""
-    def run():
-        alive = [bytearray(b"\x01") * len(K.faces(j)) for j in range(K.dim + 1)]
-        base = 0
-        for j in range(1, K.dim + 1):
-            (col, start, entries), w = K._cofaces(j), j + 1
-            rows, faces = alive[j - 1], alive[j]
-            left = bytearray([w]) * len(faces)  # rows not yet passed on
+    bases.  In each dimension, breadth first from the rows removed below,
+    each face with one alive row goes with it; each vertex still alive is a
+    base.  ``alive``, the initial masks, is consumed; by default every face
+    is alive and the result is memoized, for both fields.  Given masks are
+    the faces of a subcomplex L, so only rows that coreduction removed are
+    passed on.  ``relative`` masks are the faces outside L, the cells of
+    C(K)/C(L): every dead row is passed on, so the alive faces lose L's rows
+    and each base is a component of K that misses L."""
+    if alive is None:
+        return K._memo("coreduction", lambda: _coreduction(
+            K, [bytearray(b"\x01") * len(K.faces(j)) for j in range(K.dim + 1)]))
+    base, gone = 0, []  # gone: the faces that the pass below removed
+    for j in range(1, K.dim + 1):
+        (col, start, entries), w = K._cofaces(j), j + 1
+        rows, faces, went = alive[j - 1], alive[j], []
+        left = bytearray([w]) * len(faces)  # rows not yet passed on
 
-            def cascade(queue: deque[int]) -> None:
-                while queue:  # pass each removed row on to its cofaces
-                    r = queue.popleft()
-                    for k in entries[start[r]:start[r + 1]]:
-                        a = k // w
-                        left[a] -= 1
-                        if left[a] == 1 and faces[a]:
-                            seg = col[a * w:a * w + w]
-                            # its one row left, unless that went already
-                            for b in compress(seg, map(rows.__getitem__, seg)):
-                                faces[a] = rows[b] = 0
-                                queue.append(b)
+        def cascade(queue: deque[int]) -> None:
+            while queue:  # pass each removed row on to its cofaces
+                r = queue.popleft()
+                for k in entries[start[r]:start[r + 1]]:
+                    a = k // w
+                    if not faces[a]:
+                        continue  # a dead face never goes with a row
+                    left[a] -= 1
+                    if left[a] == 1:
+                        seg = col[a * w:a * w + w]
+                        # its one row left, unless that went already
+                        for b in compress(seg, map(rows.__getitem__, seg)):
+                            faces[a] = rows[b] = 0
+                            went.append(a)
+                            queue.append(b)
 
-            cascade(deque(r for r, up in enumerate(rows) if not up))
-            for v in range(len(rows)) if j == 1 else ():
-                if rows[v]:
-                    base += 1
-                    rows[v] = 0
-                    cascade(deque([v]))
-        return alive, base
-    return K._memo("coreduction", run)
+        cascade(deque(compress(range(len(rows)), rows.translate(_ZERO))
+                      if relative else sorted(gone)))
+        for v in range(len(rows)) if j == 1 else ():
+            if rows[v]:
+                base += 1
+                rows[v] = 0
+                cascade(deque([v]))
+        gone = went
+    return alive, base
 
 
-def _top_down_ranks(dim: int, field: str, rows_of) -> list[int]:
-    """rank d_j for j = 0, ..., dim + 1 (0 at both ends), by clearing:
-    ``rows_of(j, cleared)`` lists the columns of d_j as {row: sign} dicts but
-    those of ``cleared``, the pivot columns of d_{j+1}; j = dim down to 1."""
-    ranks = [0] * (dim + 2)
-    cleared: set[int] = set()
-    for j in range(dim, 0, -1):
-        cleared = set(_sparse_rank(rows_of(j, cleared), _COMBINE[field]))
+def _top_down_ranks(K: GeneralComplex, field: str,
+                    alive: list[bytearray]) -> list[int]:
+    """rank d_j for j = 0, ..., dim + 1 (0 at both ends) on the alive faces,
+    each boundary restricted to alive rows; j = dim down to 1, by clearing:
+    the j-faces that were pivot columns of d_{j+1} are left out of d_j."""
+    ranks = [0] * (K.dim + 2)
+    cleared: list[int] = []
+    for j in range(K.dim, 0, -1):
+        col, w = K._cofaces(j)[0], j + 1
+        rows, take = alive[j - 1], bytearray(alive[j])
+        for a in cleared:
+            take[a] = 0
+        if 1 not in take:
+            cleared = []  # skip the pass over the faces of an empty dimension
+            continue
+        signs = [(-1) ** i for i in range(w)]
+        cleared = _sparse_rank([
+            {b: s for b, s in zip(col[a * w:a * w + w], signs) if rows[b]}
+            for a in compress(range(len(take)), take)], _COMBINE[field])
         ranks[j] = len(cleared)
     return ranks
 
@@ -132,17 +164,13 @@ def composes_to_zero(K: GeneralComplex, j: int, field: str = GF2) -> bool:
     field = normalize_field(field)
     if not 2 <= j <= K.dim:
         raise DomainError(f"composition needs 2 <= j <= {K.dim}")
-    outer = boundary_matrix(K, j - 1, field)
-    inner = boundary_matrix(K, j, field)
-    for col in inner.columns:
+    outer = boundary_matrix(K, j - 1, field).columns
+    for col in boundary_matrix(K, j, field).columns:
         acc: dict[int, int] = {}
         for r, s in col:
-            for rr, ss in outer.columns[r]:
+            for rr, ss in outer[r]:
                 acc[rr] = acc.get(rr, 0) + s * ss
-        if field == GF2:
-            if any(v % 2 for v in acc.values()):
-                return False
-        elif any(acc.values()):
+        if any(v % 2 if field == GF2 else v for v in acc.values()):
             return False
     return True
 
@@ -169,31 +197,21 @@ def betti_numbers(K: GeneralComplex, field: str = GF2) -> BettiVector:
     if K.is_empty:
         raise DomainError("the empty complex has no Betti numbers")
     field = normalize_field(field)
-    return K._memo(("betti", field), lambda: _betti(K, field))
+    return K._memo(("betti", field),
+                   lambda: BettiVector(field=field, values=_betti(K, field)))
 
 
-def _betti(K: GeneralComplex, field: str) -> BettiVector:
-    alive, base = _coreduction(K)
-
-    def rows_of(j: int, cleared: set[int]) -> list[dict[int, int]]:
-        take = bytearray(alive[j])
-        for i in cleared:
-            take[i] = 0
-        if 1 not in take:
-            return []  # skip the pass over the rows of a dimension left empty
-        keys = [r if up else -1 for r, up in enumerate(alive[j - 1])]  # -1: dead
-        pairs = zip(map(keys.__getitem__, K._cofaces(j)[0]),
-                    cycle([(-1) ** i for i in range(j + 1)]))
-        # in one pass in C, each j + 1 consecutive pairs become a column
-        rows = list(map(dict, compress(zip(*[pairs] * (j + 1)), take)))
-        for row in rows:
-            row.pop(-1, None)
-        return rows
-
-    ranks = _top_down_ranks(K.dim, field, rows_of)
-    return BettiVector(field=field, values=tuple(
+def _betti(K: GeneralComplex, field: str, alive: list[bytearray] | None = None,
+           relative: bool = False) -> tuple[int, ...]:
+    """(beta_0, ..., beta_dim) of the alive faces, taken as ``_coreduction``
+    takes them: all of K by default, else a subcomplex or, ``relative``, the
+    pair (K, subcomplex).  Given masks are consumed; nothing is memoized
+    for them."""
+    alive, base = _coreduction(K, alive, relative)
+    ranks = _top_down_ranks(K, field, alive)
+    return tuple(
         alive[j].count(1) - ranks[j] - ranks[j + 1] + (base if j == 0 else 0)
-        for j in range(K.dim + 1)))
+        for j in range(K.dim + 1))
 
 
 def is_orientable(K: Complex) -> bool:
@@ -247,14 +265,9 @@ class TypeReport(_Record):
     type_string: str
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "chi": self.chi,
-            "beta1": self.beta1,
-            "orientable": self.orientable,
-            "euler_formula_ok": self.euler_formula_ok,
-            "type": self.type_string,
-        }
+        doc = dict(self.__dict__)
+        doc["type"] = doc.pop("type_string")
+        return doc
 
 
 def sphere_bundle_type(d: int, beta1: int, orientable: bool) -> str:
@@ -285,39 +298,23 @@ def identify_type(K: Complex) -> TypeReport:
     # sphere bundles over the circle have chi = 0; connected sums then give
     # 2 - 2*beta1 in even dimensions and 0 in odd ones
     euler_ok = (chi == 2 - 2 * beta1) if K.dim % 2 == 0 else (chi == 0)
-    return TypeReport(
-        dimension=K.dim,
-        chi=chi,
-        beta1=beta1,
-        orientable=orientable,
-        euler_formula_ok=euler_ok,
-        type_string=sphere_bundle_type(K.dim, beta1, orientable),
-    )
-
-
-def _gray_subsets(n: int):
-    """Yield (toggled position, subset mask) covering all nonempty subsets."""
-    mask = 0
-    for k in range(1, 1 << n):
-        t = (k & -k).bit_length() - 1
-        mask ^= 1 << t
-        yield t, mask
+    return TypeReport(dimension=K.dim, chi=chi, beta1=beta1,
+                      orientable=orientable, euler_formula_ok=euler_ok,
+                      type_string=sphere_bundle_type(K.dim, beta1, orientable))
 
 
 def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
     """Check tightness by enumerating every induced subcomplex.
 
-    K is tight when, for every nonempty vertex subset W, the map
+    K is tight when, for every nonempty vertex subset W, each map
     H_j(Y) -> H_j(K) induced by the inclusion of the subcomplex Y on W is
-    injective in every degree j.  Ordering the faces of Y first makes
-    d^K_{j+1} block upper-triangular, with d^Y_{j+1} and the relative map
-    d^{K,Y}_{j+1} (the columns of faces outside Y, rows in Y dropped) on the
-    diagonal, and by the long exact sequence of the pair
-    rank d^K_{j+1} - rank d^Y_{j+1} - rank d^{K,Y}_{j+1}
-    = dim ker(H_j(Y) -> H_j(K)).  So only ranks are taken: in degree 0 the
-    kernel is trivial iff beta_0(Y) = 1 (K is connected), in degree j >= 1
-    the deficit must vanish wherever beta_j(Y) > 0, and the top degree never
-    fails.  Capped at 2^16 subsets; larger inputs must use the certificate
+    injective.  With k_j its kernel's dimension, the long exact sequence of
+    the pair gives beta_j(K, Y) = beta_j(K) - beta_j(Y) + k_j + k_{j-1} and
+    k_dim = 0, so sum beta(Y) + sum beta(K, Y) - sum beta(K) = 2 sum_j k_j,
+    and K is tight at W iff this excess is 0.  beta_0(Y) > 1 fails at once
+    (K is connected); beta(Y) = (1, 0, ..., 0) passes without the relative
+    run.  A negative or odd excess raises ``RuntimeError`` naming W and the
+    sums.  Capped at 2^16 subsets; larger inputs must use the certificate
     path.
     """
     field = normalize_field(field)
@@ -331,43 +328,38 @@ def is_tight_bruteforce(K: GeneralComplex, field: str = GF2) -> bool:
     if not K.is_connected():
         return False
 
-    dim = K.dim
-    vpos = {v: i for i, v in enumerate(K.vertices)}
-    face_masks = [[sum(1 << vpos[v] for v in f) for f in K.faces(j)]
-                  for j in range(dim + 1)]
-    stars = [K.vertex_incidence(j) for j in range(dim + 1)]
-    with_vertex = [[star[v] for star in stars] for v in K.vertices]
-    # columns[j]: the (row, sign) incidences of each j-face in d_j
-    columns = [()] + [boundary_matrix(K, j, field).columns
-                      for j in range(1, dim + 1)]
-    rank_k = _top_down_ranks(dim, field, lambda j, cleared: [
-        dict(col) for i, col in enumerate(columns[j]) if i not in cleared])
+    total = sum(betti_numbers(K, field).values)
+    faces = [f for j in range(K.dim + 1) for f in K.faces(j)]
+    cuts = list(accumulate(K.f_vector(), initial=0))
+    # one byte per face of K: through[t] is 1 where the face holds the t-th
+    # vertex, as an int, so that one sum counts the vertices outside W
+    through = [int.from_bytes(bytes(v in f for f in faces), "little")
+               for v in K.vertices]
+    outside = sum(through)  # W empty; no byte exceeds the face size
 
-    active: list[set[int]] = [set() for _ in range(dim + 1)]
-    for t, mask in _gray_subsets(n):
-        if mask >> t & 1:
-            for j, acts in enumerate(active):
-                acts.update(i for i in with_vertex[t][j]
-                            if face_masks[j][i] & ~mask == 0)
-        else:
-            for acts, touched in zip(active, with_vertex[t]):
-                acts.difference_update(touched)
-        rank_y = _top_down_ranks(dim, field, lambda j, cleared: [
-            dict(columns[j][i]) for i in active[j] if i not in cleared])
-        betti_y = [len(active[j]) - rank_y[j] - rank_y[j + 1]
-                   for j in range(dim + 1)]
-        if betti_y[0] != 1:
+    def masks(table: bytes) -> list[bytearray]:  # faces whose count maps to 1
+        kept = bytearray(outside.to_bytes(len(faces), "little").translate(table))
+        return [kept[a:b] for a, b in pairwise(cuts)]
+
+    mask = 0
+    for k in range(1, 1 << n):  # Gray code: one vertex joins or leaves W
+        t = (k & -k).bit_length() - 1
+        mask ^= 1 << t
+        outside += -through[t] if mask >> t & 1 else through[t]
+        inside = _betti(K, field, masks(_ZERO))
+        if inside[0] > 1:
             return False
-        for j in range(1, dim):
-            if betti_y[j] == 0:
-                continue
-            inside = active[j]
-            relative = [{r: s for r, s in col if r not in inside}
-                        for i, col in enumerate(columns[j + 1])
-                        if i not in active[j + 1]]
-            if rank_k[j + 1] - rank_y[j + 1] != len(
-                    _sparse_rank(relative, _COMBINE[field])):
-                return False
+        if sum(inside) == 1:
+            continue
+        relative = _betti(K, field, masks(_NONZERO), relative=True)
+        excess = sum(inside) + sum(relative) - total
+        if excess < 0 or excess % 2:
+            W = [v for i, v in enumerate(K.vertices) if mask >> i & 1]
+            raise RuntimeError(f"Betti sums at W = {W}: {sum(inside)} (Y_W) + "
+                               f"{sum(relative)} (K, Y_W) - {total} (K) = "
+                               f"{excess}, not even and non-negative")
+        if excess:
+            return False
     return True
 
 
@@ -411,16 +403,13 @@ def certify_tight(K: Complex) -> TightCertificate:
     orientable = is_orientable(K)
     field = Q if orientable else GF2
     beta1 = betti_numbers(K, field)[1]
+    tight, detail = True, f"{field}-orientable 2-neighborly Walkup-class member"
     if d == 3:
         f0 = K.num_vertices
         tight = 20 * beta1 == (f0 - 4) * (f0 - 5)
         detail = (f"dimension 3 equality 20*beta1 = (f0-4)(f0-5): "
                   f"{20 * beta1} vs {(f0 - 4) * (f0 - 5)}")
-        return TightCertificate(
-            dimension=d, in_kstar=True, orientable=orientable, field=field,
-            tight=tight, strongly_minimal=tight, certified=tight, beta1=beta1,
-            detail=detail)
     return TightCertificate(
         dimension=d, in_kstar=True, orientable=orientable, field=field,
-        tight=True, strongly_minimal=True, certified=True, beta1=beta1,
-        detail=f"{field}-orientable 2-neighborly Walkup-class member")
+        tight=tight, strongly_minimal=tight, certified=tight, beta1=beta1,
+        detail=detail)

@@ -255,7 +255,11 @@ class TestTreeFamilyFormat:
         ("2 2 2\nt\n", "tree lines are 't i v1 v2 ...' (line 2)"),
         ("# two trees\n2 2 2\nt 0\nt 1 0 x\n",
          "expected an integer, got 'x' (line 4, column 7)"),
-        ("1 2 2\ne 0 5\nt 0 0\nt 1 1\n", "edge (0, 5) out of range"),
+        ("1 2 2\ne 0 5\nt 0 0\nt 1 1\n",
+         "host vertex 5 out of range [0, 2) (line 2, column 5)"),
+        ("1 2 2\ne 0 0\nt 0 0\nt 1 1\n", "loop at vertex 0 (line 2, column 5)"),
+        ("1 2 2\ne 0 1\nt 0 0\nt 1 7\n",
+         "host vertex 7 out of range [0, 2) (line 4, column 5)"),
     ])
     def test_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "bad.tree"

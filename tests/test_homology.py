@@ -51,9 +51,9 @@ def int_rank_of_transpose(mat):
 
 
 def top_down_ranks(K, field):
-    return homology._top_down_ranks(K.dim, field, lambda j, cleared: [
-        dict(col) for i, col in enumerate(boundary_matrix(K, j, field).columns)
-        if i not in cleared])
+    """The ranks by clearing, taken on every face of K."""
+    every = [bytearray(b"\x01") * len(K.faces(j)) for j in range(K.dim + 1)]
+    return homology._top_down_ranks(K, field, every)
 
 
 class TestBoundaryMatrix:
@@ -309,11 +309,38 @@ class TestTightnessBruteForce:
         assert not is_tight_bruteforce(rp2, Q)
         assert not is_orientable(rp2)
 
+    @pytest.mark.parametrize("field", [GF2, Q])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_miscounted_betti_number_raises(self, monkeypatch, field, delta):
+        # the Betti sums of Y_W, of (K, Y_W) and of K differ by an even,
+        # non-negative number; a count off by one on one W must not pass
+        rp2 = Complex([(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+                       (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)])
+        real = homology._betti
+        relative_runs = []
+
+        def miscounted(K, field, alive=None, relative=False):
+            got = real(K, field, alive, relative)
+            if relative:
+                relative_runs.append(alive)
+                if len(relative_runs) == 1:
+                    return (got[0] + delta, *got[1:])
+            return got
+
+        monkeypatch.setattr(homology, "_betti", miscounted)
+        total = sum(betti_numbers(rp2, field).values)
+        with pytest.raises(RuntimeError,
+                           match=rf"at W = \[[0-9, ]+\]: .* - {total} \(K\) = "):
+            is_tight_bruteforce(rp2, field)
+        assert len(relative_runs) == 1
+
     def test_capacity_guard(self):
         big = random_stacked_ball(2, 20, seed=1)
         assert big.num_vertices > 16
+        facts = dict(big._facts)
         with pytest.raises(CapacityError):
             is_tight_bruteforce(big, GF2)
+        assert big._facts == facts  # refused before any table is built
 
 
 class TestCertifyTight:

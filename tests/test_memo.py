@@ -13,8 +13,9 @@ import pytest
 
 from walkup import (GF2, Q, Complex, DomainError, Graph, TreeFamily,
                     betti_numbers, catalog, check_lower_bounds, classify,
-                    construct, core, fileio, in_walkup_class, is_orientable,
-                    symmetry, verify_aut_equality)
+                    construct, core, fileio, homology, in_walkup_class,
+                    is_orientable, is_tight_bruteforce, symmetry,
+                    verify_aut_equality)
 from walkup.cli import main
 from walkup.generators import (cross_polytope_boundary, random_stacked_ball,
                                random_stacked_sphere, standard_ball,
@@ -255,3 +256,24 @@ def test_orientation_walks_the_table():
     orientable, _, peak = traced_memory(lambda: is_orientable(K))
     assert orientable and K.num_facets == 3202
     assert peak <= 32 * K.num_facets  # no neighbour list per facet
+
+
+def test_brute_force_reads_betti_numbers_under_masks(monkeypatch):
+    # RP^2 on 6 vertices: tight over GF(2), not over Q, and some Y_W carry
+    # homology, so both the subcomplex and the relative runs happen
+    rp2 = [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+           (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)]
+    K = Complex(rp2)
+    matrices = counting(monkeypatch, homology, "boundary_matrix")
+    runs = counting(monkeypatch, homology, "_betti")
+    assert is_tight_bruteforce(K, GF2) and not is_tight_bruteforce(K, Q)
+    assert matrices == []
+    assert any(len(args) == 3 for args in runs)  # masked runs did happen
+    # the masked runs memoize nothing: K keeps its own tables and facts
+    kinds = {key if isinstance(key, str) else key[0] for key in K._facts}
+    assert kinds <= {"faces", "cofaces", "vertex_components", "coreduction",
+                     "betti"}
+    fresh = Complex(rp2)
+    assert K._facts["coreduction"] == homology._coreduction(fresh)
+    for field in (GF2, Q):
+        assert K._facts[("betti", field)] == betti_numbers(fresh, field)

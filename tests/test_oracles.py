@@ -282,6 +282,84 @@ class TestCoreductionAgainstFullElimination:
             assert self.coreduced(S, field) == (1, 0, 0, 0, 1)
 
 
+def face_masks(K, W, inside):
+    """One 0/1 mask per dimension: the faces of the induced subcomplex Y_W
+    (``inside``) or the faces of K outside it."""
+    return [bytearray((set(f) <= W) == inside for f in K.faces(j))
+            for j in range(K.dim + 1)]
+
+
+def naive_relative_betti(K, W, field):
+    """beta_j(K, Y_W) from scratch: dense boundary matrices on the faces
+    outside Y_W, rows in Y_W dropped, ranked by the naive eliminations."""
+    cells = [[f for f in K.faces(j) if not set(f) <= W]
+             for j in range(K.dim + 1)]
+    ranks = [0] * (K.dim + 2)
+    for j in range(1, K.dim + 1):
+        index = {f: i for i, f in enumerate(cells[j - 1])}
+        dense = [[0] * len(cells[j]) for _ in cells[j - 1]]
+        for c, f in enumerate(cells[j]):
+            for i in range(len(f)):
+                row = index.get(f[:i] + f[i + 1:])
+                if row is not None:
+                    dense[row][c] = (-1) ** i
+        if dense and cells[j]:
+            ranks[j] = (naive_rank_mod2(dense) if field == GF2
+                        else naive_rank_rational(dense))
+    return tuple(len(cells[j]) - ranks[j] - ranks[j + 1]
+                 for j in range(K.dim + 1))
+
+
+class TestMaskedHomologyAgainstRebuilt:
+    """Betti numbers of Y_W and of (K, Y_W) under a face mask of K equal
+    those of the induced subcomplex built on its own and those of dense
+    relative boundary matrices, over both fields."""
+
+    @staticmethod
+    def check(K, W, seen):
+        Y = K.induced_subcomplex(W)
+        for field in (GF2, Q):
+            got = homology._betti(K, field, face_masks(K, W, True))
+            assert got == betti_numbers(Y, field).values \
+                + (0,) * (K.dim - Y.dim), (K, W, field)
+            got = homology._betti(K, field, face_masks(K, W, False),
+                                  relative=True)
+            assert got == naive_relative_betti(K, W, field), (K, W, field)
+        seen["pairs"] += 1
+        seen["non-pure"] += not Y.is_pure
+        seen["disconnected"] += not Y.is_connected()
+
+    def test_small_complexes_every_subset(self):
+        seen = dict.fromkeys(("pairs", "non-pure", "disconnected"), 0)
+
+        @settings(max_examples=50)
+        @given(st.one_of(small_pure_complexes(), small_non_pure_complexes()))
+        def every_subset(K):
+            verts = K.vertices
+            for bits in range(1, 1 << len(verts)):
+                W = {v for i, v in enumerate(verts) if bits >> i & 1}
+                self.check(K, W, seen)
+
+        every_subset()
+        assert seen["pairs"] >= 1200, seen
+        assert min(seen["non-pure"], seen["disconnected"]) >= 100, seen
+
+    def test_seeded_pieces_of_m4_21(self):
+        # induced on 5 or 6 vertices of a 2-neighborly 4-manifold: every
+        # edge, some triangles, few tetrahedra; each subset W of those
+        rng = random.Random(ORACLE_SEED)
+        M = catalog.get("M4_21")
+        seen = dict.fromkeys(("pairs", "non-pure", "disconnected"), 0)
+        for _ in range(22):
+            K = M.induced_subcomplex(rng.sample(M.vertices, rng.randint(5, 6)))
+            verts = K.vertices
+            for bits in range(1, 1 << len(verts)):
+                W = {v for i, v in enumerate(verts) if bits >> i & 1}
+                self.check(K, W, seen)
+        # 2-neighborly: each Y_W is connected, but many are not pure
+        assert seen["pairs"] >= 800 and seen["non-pure"] >= 100, seen
+
+
 def naive_is_tight(K, field) -> bool:
     """From-scratch tightness check: no incremental subset bookkeeping.
 
