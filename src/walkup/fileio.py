@@ -109,6 +109,9 @@ def parse_tree_family(text: str) -> TreeFamily:
             if len(tokens) != 3:
                 raise ParseError("header must be 'd n |V(G)|'", line=lineno)
             header = tuple(_int_token(t, col, lineno) for t, col in tokens)
+            if header[0] < 1:
+                raise ParseError("dimension must be at least 1", line=lineno,
+                                 column=tokens[0][1])
             host_size = header[2]
             continue
         tag, tag_col = tokens[0]
@@ -173,7 +176,15 @@ def parse_orbit_presentation(text: str) -> OrbitPresentation:
                 raise ParseError("header must be 'm class1 class2 ...'",
                                  line=lineno)
             order = _int_token(*tokens[0], lineno)
-            header = (order, tuple(t for t, _ in tokens[1:]))
+            if order < 1:
+                raise ParseError("group order must be positive", line=lineno,
+                                 column=tokens[0][1])
+            seen: dict[str, int] = {}  # class -> column, in header order
+            for t, col in tokens[1:]:
+                if seen.setdefault(t, col) != col:
+                    raise ParseError("duplicate label classes", line=lineno,
+                                     column=col)
+            header = (order, tuple(seen))
             continue
         try:
             facets.append(tuple(parse_label(t) for t, _ in tokens))

@@ -1,14 +1,15 @@
 """Exact linear algebra: one sparse rank kernel serves GF(2) and Q.
 
-The kernel is a heap-ordered sparse elimination with Markowitz-style pivots
-(Dumas, Heckenbach, Saunders and Welker 2003).  No floating point appears.
+The kernel is the standard reduction of persistent homology (Zomorodian and
+Carlsson 2005): each row, in the order given, is reduced on its last column
+by the pivot row stored for it.  ``homology`` feeds it only the cells that
+coreduction leaves, with clearing (Chen and Kerber 2011).  No floating
+point appears.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import reduce
-from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable
 
@@ -48,40 +49,21 @@ def _sparse_rank(rows: list[dict[int, int]], combine) -> list[int]:
     their number is the rank.
 
     ``combine(row, pivot, c)`` adds to ``row`` the multiple of ``pivot`` that
-    clears column c.  Columns wait in a lazy min-heap keyed by (active entry
-    count, column): a stale key is pushed back when popped.  The pivot row
-    prefers a unit entry, then a small one, then a short row.
+    clears column c.  Each row in turn is reduced on its last column until
+    that column has no pivot, and then becomes its pivot.  A pivot has no
+    entry beyond its own column, so the pivot rows are triangular on the
+    returned columns.
     """
-    cols: defaultdict[int, set[int]] = defaultdict(set)
-    for i, row in enumerate(rows):
-        for c in row:
-            cols[c].add(i)
-    heap = sorted((len(s), c) for c, s in cols.items())  # sorted is a heap
-    pivots = []
-    while heap:
-        count, c = heappop(heap)
-        in_col = cols[c]
-        if len(in_col) != count:
-            if in_col:
-                heappush(heap, (len(in_col), c))
-            continue
-        r = min(in_col, key=lambda rr: (abs(rows[rr][c]) != 1,
-                                        abs(rows[rr][c]), len(rows[rr]), rr))
-        pivot, rows[r] = rows[r], None  # nothing reads row r again
-        for cc in pivot:
-            cols[cc].discard(r)
-        pivots.append(c)
-        for rr in cols.pop(c):
-            row = rows[rr]
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = max(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
             combine(row, pivot, c)
-            if not row:
-                rows[rr] = None  # an emptied dict keeps its table
-            for cc in pivot:
-                if cc in row:
-                    cols[cc].add(rr)
-                elif cc != c:
-                    cols[cc].discard(rr)
-    return pivots
+    return list(pivots)
 
 
 def _bits(mask: int) -> Iterable[int]:

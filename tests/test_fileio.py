@@ -260,6 +260,8 @@ class TestTreeFamilyFormat:
         ("1 2 2\ne 0 0\nt 0 0\nt 1 1\n", "loop at vertex 0 (line 2, column 5)"),
         ("1 2 2\ne 0 1\nt 0 0\nt 1 7\n",
          "host vertex 7 out of range [0, 2) (line 4, column 5)"),
+        ("0 1 2\ne 0 1\nt 0 0\n",
+         "dimension must be at least 1 (line 1, column 1)"),
     ])
     def test_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "bad.tree"
@@ -301,3 +303,12 @@ class TestOrbitFormat:
     def test_out_of_range_index(self):
         with pytest.raises(ParseError):
             fileio.parse_orbit_presentation("3 a\na0 a5\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 a\na0\n", "group order must be positive (line 1, column 1)"),
+        ("3 a a\na0\n", "duplicate label classes (line 1, column 5)"),
+    ])
+    def test_malformed_header(self, text, message):
+        with pytest.raises(ParseError) as err:
+            fileio.parse_orbit_presentation(text)
+        assert str(err.value) == message

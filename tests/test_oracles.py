@@ -1,9 +1,10 @@
 """Cross-validation of the optimized kernels against naive reference code.
 
-The implementations under test use heap-ordered sparse elimination and a
-pruned backtracking search; the oracles here are the slowest possible
-versions of the same questions (dense list elimination, all-permutations
-enumeration), so any pivoting or pruning bug shows up as a disagreement.
+The implementations under test use the standard sparse reduction (each row
+reduced on its last column by a stored pivot row) and a pruned
+backtracking search; the oracles here are the slowest possible versions of
+the same questions (dense list elimination, all-permutations enumeration),
+so any pivoting or pruning bug shows up as a disagreement.
 """
 
 import itertools
@@ -23,7 +24,8 @@ from walkup.generators import (attach_along_codim2, cross_polytope_boundary,
                                random_stacked_ball, random_stacked_sphere,
                                random_tree_complex, standard_ball,
                                standard_sphere)
-from walkup.linalg import gf2_rank, int_rank
+from walkup.linalg import (_fraction_free_into, _sparse_rank, _xor_into,
+                           gf2_rank, int_rank)
 from walkup.symmetry import (_edge_link_counts, _individualize,
                              _pair_invariants, _refine_pair,
                              automorphism_group, group_elements)
@@ -197,6 +199,26 @@ class TestRanksAgainstNaiveElimination:
     def test_gf2_rank(self, rows):
         packed = [sum(1 << c for c, v in enumerate(r) if v % 2) for r in rows]
         assert gf2_rank(packed) == naive_rank_mod2(rows)
+
+    def test_seeded_sparse_matrices_over_both_fields(self):
+        # beyond Hypothesis sizes: up to 20 x 20, with repeated and zero rows;
+        # clearing needs the rows to have full rank on the returned columns
+        rng = random.Random(ORACLE_SEED)
+        for _ in range(60):
+            ncols, density = rng.randint(1, 20), rng.random() / 2
+            rows = [[rng.randint(-3, 3) if rng.random() < density else 0
+                     for _ in range(ncols)] for _ in range(rng.randint(1, 16))]
+            rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+            rows += [[0] * ncols for _ in range(rng.randint(0, 1))]
+            rng.shuffle(rows)
+            for combine, naive, entry in (
+                    (_xor_into, naive_rank_mod2, lambda v: v % 2),
+                    (_fraction_free_into, naive_rank_rational, lambda v: v)):
+                cols = _sparse_rank([{c: entry(v) for c, v in enumerate(r)
+                                      if entry(v)} for r in rows], combine)
+                assert len(cols) == naive(rows)
+                assert len(set(cols)) == len(cols)
+                assert naive([[r[c] for c in cols] for r in rows]) == len(cols)
 
 
 class TestHomologyAgainstNaiveElimination:
