@@ -9,6 +9,9 @@ Reports are JSON with sorted keys; wall-clock numbers live under a separate
 "timing" key so the rest of the document is byte-reproducible.  Exit codes:
 0 success, 1 verification mismatch, 2 input or output error, 3 a capacity
 skip was escalated by --strict (``verify`` and ``aut``).
+Automorphism generators in ``verify`` and ``aut`` act on the positions
+0..n-1 of the sorted vertex list, not on the file's vertex ids: the facet
+file ``0 5 7`` gives the generators ``[[0, 2, 1], [1, 0, 2]]``.
 
 Schema 2 changed the ``consistency`` checks of ``verify``.  Schema 1 compared
 the alternating sum of each Betti vector with the Euler characteristic, which

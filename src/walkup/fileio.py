@@ -24,6 +24,9 @@ from .errors import ParseError
 from .graphs import Graph
 
 _TOKEN_RE = re.compile(r"\S+")
+_TREE_HEADER = ((1, "dimension must be at least 1"),  # d n |V(G)|: least, rule
+                (0, "tree count must be non-negative"),
+                (0, "host vertex count must be non-negative"))
 
 
 def _data_lines(text: str):
@@ -39,17 +42,18 @@ def _tokens(raw: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(raw)]
 
 
-def _int_token(token: str, column: int, lineno: int,
-               below: int | None = None) -> int:
-    """A non-negative integer token, less than ``below`` if that is given."""
+def _int_token(token: str, column: int, lineno: int, below: int | None = None,
+               least: int = 0, rule: str | None = None) -> int:
+    """An integer token of at least ``least``, less than ``below`` if given;
+    a smaller value raises ``rule``, or else the vertex-id message."""
     try:
         value = int(token, 10)
     except ValueError:
         raise ParseError(f"expected an integer, got {token!r}",
                          line=lineno, column=column) from None
-    if value < 0:
-        raise ParseError(f"vertex ids must be non-negative, got {value}",
-                         line=lineno, column=column)
+    if value < least:
+        message = rule or f"vertex ids must be non-negative, got {value}"
+        raise ParseError(message, line=lineno, column=column)
     if below is not None and value >= below:
         raise ParseError(f"host vertex {value} out of range [0, {below})",
                          line=lineno, column=column)
@@ -108,10 +112,8 @@ def parse_tree_family(text: str) -> TreeFamily:
         if header is None:
             if len(tokens) != 3:
                 raise ParseError("header must be 'd n |V(G)|'", line=lineno)
-            header = tuple(_int_token(t, col, lineno) for t, col in tokens)
-            if header[0] < 1:
-                raise ParseError("dimension must be at least 1", line=lineno,
-                                 column=tokens[0][1])
+            header = tuple(_int_token(t, col, lineno, least=m, rule=r)
+                           for (t, col), (m, r) in zip(tokens, _TREE_HEADER))
             host_size = header[2]
             continue
         tag, tag_col = tokens[0]
@@ -127,7 +129,8 @@ def parse_tree_family(text: str) -> TreeFamily:
         elif tag == "t":
             if len(tokens) < 2:
                 raise ParseError("tree lines are 't i v1 v2 ...'", line=lineno)
-            index = _int_token(*tokens[1], lineno)
+            index = _int_token(*tokens[1], lineno,
+                               rule="tree index must be non-negative")
             if index in trees:
                 raise ParseError(f"tree {index} defined twice", line=lineno)
             trees[index] = frozenset(_int_token(t, col, lineno, host_size)
@@ -175,10 +178,8 @@ def parse_orbit_presentation(text: str) -> OrbitPresentation:
             if len(tokens) < 2:
                 raise ParseError("header must be 'm class1 class2 ...'",
                                  line=lineno)
-            order = _int_token(*tokens[0], lineno)
-            if order < 1:
-                raise ParseError("group order must be positive", line=lineno,
-                                 column=tokens[0][1])
+            order = _int_token(*tokens[0], lineno, least=1,
+                               rule="group order must be positive")
             seen: dict[str, int] = {}  # class -> column, in header order
             for t, col in tokens[1:]:
                 if seen.setdefault(t, col) != col:

@@ -2,15 +2,15 @@
 
 A permutation is the tuple of images of the dense vertex ids 0..n-1.  The
 search maps vertices to vertices by individualization-refinement: the
-coloring starts uniform and is refined to a fixed point against an
-invariant of each vertex pair (its edge-link face vector and co-degree
-profile), and branching assigns one vertex of the rarest color class at a
-time.  The uniform start loses nothing: the first round splits vertices by
-their multisets of pair invariants, which fix each vertex's facet degree
-and link face vector, so a start from those vertex invariants refines to
-the same partition.  The catalog complexes are 2-neighborly, so the
-1-skeleton is complete and plain degrees are useless; the pair invariants
-are what make the search near-linear there.
+coloring starts uniform and is refined to a fixed point against a color on
+each edge of K (its edge-link face vector and co-degree profile), and
+branching assigns one vertex of the rarest color class at a time.  Pairs
+that share no face carry no color and need no key (``_refine_pair`` says
+why).  The uniform start loses nothing: the first round splits vertices by
+their multisets of edge colors, which fix each vertex's facet degree and
+link face vector, so a start from those vertex invariants refines to the
+same partition.  The catalog complexes are 2-neighborly, so plain degrees
+are useless; the edge colors are what make the search near-linear there.
 
 No group element is enumerated.  The search is pruned by the automorphisms
 already found (McKay and Piperno, "Practical graph isomorphism, II", 2014):
@@ -32,12 +32,9 @@ from .core import Complex, _Record
 from .errors import CapacityError, DomainError
 
 Perm = tuple[int, ...]
+_Edges = list[list[tuple[int, int]]]  # (neighbour, edge color) per vertex
 
 AUT_VERTEX_CAP = 64
-
-
-def identity_permutation(n: int) -> Perm:
-    return tuple(range(n))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -99,45 +96,47 @@ def _edge_link_counts(K: Complex) -> dict[tuple[int, int], tuple[int, ...]]:
     return {edge: tuple(c[edge] for c in through[1:]) for edge in through[0]}
 
 
-def _pair_invariants(K: Complex, n: int) -> list[list[int]]:
-    """Interned invariant of each vertex pair: edge-link f-vector + co-degrees."""
-    edge_links = _edge_link_counts(K)
+def _pair_invariants(K: Complex, n: int) -> _Edges:
+    """Edge lists: (u, c) at v for each edge uv of K, where the color c
+    interns the edge-link f-vector and co-degree profile of uv."""
     triple_count = Counter(triple for f in K.facets
                            for triple in itertools.combinations(f, 3))
     # co-degree profile of a pair: how often each third vertex completes it
     profiles: dict[tuple[int, int], list[int]] = {}
-    for (a, b, c), cnt in triple_count.items():
-        profiles.setdefault((a, b), []).append(cnt)
-        profiles.setdefault((a, c), []).append(cnt)
-        profiles.setdefault((b, c), []).append(cnt)
-    keys: dict[tuple[int, int], tuple] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            keys[(u, v)] = (edge_links.get((u, v)),
-                            tuple(sorted(profiles.get((u, v), ()))))
-    intern = {k: i for i, k in enumerate(sorted(set(keys.values()),
-                                                key=repr))}
-    table = [[0] * n for _ in range(n)]
-    for (u, v), k in keys.items():
-        table[u][v] = table[v][u] = intern[k]
-    return table
+    for triple, cnt in triple_count.items():
+        for pair in itertools.combinations(triple, 2):
+            profiles.setdefault(pair, []).append(cnt)
+    intern: dict[tuple, int] = {}  # colors in order of first sight
+    edges: _Edges = [[] for _ in range(n)]
+    for (u, v), counts in _edge_link_counts(K).items():
+        key = (counts, tuple(sorted(profiles.get((u, v), ()))))
+        c = intern.setdefault(key, len(intern))
+        edges[u].append((v, c))
+        edges[v].append((u, c))
+    return edges
 
 
-def _refine_pair(dom: list[int], cod: list[int],
-                 pinv: list[list[int]], n: int):
-    """Refine both colorings in lockstep; None when class profiles diverge."""
+def _refine_pair(dom: list[int], cod: list[int], pinv: _Edges, n: int):
+    """Refine both colorings in lockstep; None when class profiles diverge.
+
+    v is keyed by its color and the sorted codes color(u) * n^2 + c of its
+    edges uv (colors are at most n, edge colors fewer than n^2).  Both
+    colorings enter with equal class sizes (the root is uniform; v -> w
+    gives both color n, w in v's cell), so v's non-neighbours' colors follow
+    from this key: each round gives the partition and verdict of a dense key.
+    """
+    nn = n * n
+
+    def keys(col: list[int]) -> list[tuple]:
+        return [(col[v], tuple(sorted(col[u] * nn + c for u, c in pinv[v])))
+                for v in range(n)]
+
     while True:
-        dkeys = [(dom[v],
-                  tuple(sorted((dom[u], pinv[v][u]) for u in range(n) if u != v)))
-                 for v in range(n)]
-        ckeys = [(cod[v],
-                  tuple(sorted((cod[u], pinv[v][u]) for u in range(n) if u != v)))
-                 for v in range(n)]
+        dkeys, ckeys = keys(dom), keys(cod)
         if sorted(dkeys) != sorted(ckeys):
             return None
         intern = {k: i for i, k in enumerate(sorted(set(dkeys)))}
-        ndom = [intern[k] for k in dkeys]
-        ncod = [intern[k] for k in ckeys]
+        ndom, ncod = [intern[k] for k in dkeys], [intern[k] for k in ckeys]
         if len(intern) == len(set(dom)):
             return ndom, ncod
         dom, cod = ndom, ncod
@@ -160,7 +159,7 @@ class GroupDescription(_Record):
 
 def group_closure(generators, n: int) -> frozenset[Perm]:
     """All products of the generators, by breadth-first multiplication."""
-    ident = identity_permutation(n)
+    ident = tuple(range(n))
     elems = {ident}
     frontier = [ident]
     gens = [tuple(g) for g in generators]
@@ -177,7 +176,7 @@ def group_closure(generators, n: int) -> frozenset[Perm]:
 
 
 def _individualize(dom: list[int], cod: list[int], v: int, w: int,
-                   pinv: list[list[int]], n: int):
+                   pinv: _Edges, n: int):
     """Give v (domain) and w (codomain) one fresh color, then refine."""
     dom = list(dom)
     cod = list(cod)
@@ -229,10 +228,7 @@ def _search(K: Complex, n: int) -> tuple[int, list[Perm]]:
         step = _target(dom, n)
         if step is None:
             # discrete: both colorings are permutations of 0..n-1
-            at = [0] * n
-            for w in range(n):
-                at[cod[w]] = w
-            p = tuple(at[c] for c in dom)
+            p = compose(inverse(cod), dom)
             return p if is_automorphism(K, p) else None
         v, color = step
         for w in range(n):
@@ -247,8 +243,7 @@ def _search(K: Complex, n: int) -> tuple[int, list[Perm]]:
     path = []
     while (step := _target(colors, n)) is not None:
         path.append((colors, *step))
-        v = step[0]
-        colors = _individualize(colors, colors, v, v, pinv, n)[0]
+        colors = _individualize(colors, colors, step[0], step[0], pinv, n)[0]
     order = 1
     generators: list[Perm] = []
     for colors, v, color in reversed(path):

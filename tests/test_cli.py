@@ -412,6 +412,9 @@ class TestExportHomologyAut:
         code, doc, _ = run_json(capsys, "aut", str(path))
         assert code == 0
         assert doc["automorphisms"]["order"] == 6
+        # generators act on positions in the sorted vertex list (0, 5, 7),
+        # not on the file's ids
+        assert doc["automorphisms"]["generators"] == [[0, 2, 1], [1, 0, 2]]
 
 
 class TestInputErrors:

@@ -262,6 +262,13 @@ class TestTreeFamilyFormat:
          "host vertex 7 out of range [0, 2) (line 4, column 5)"),
         ("0 1 2\ne 0 1\nt 0 0\n",
          "dimension must be at least 1 (line 1, column 1)"),
+        ("-1 2 2\ne 0 1\nt 0 0\nt 1 1\n",
+         "dimension must be at least 1 (line 1, column 1)"),
+        ("1 -1 2\n", "tree count must be non-negative (line 1, column 3)"),
+        ("1 2 -2\n",
+         "host vertex count must be non-negative (line 1, column 5)"),
+        ("1 2 2\ne 0 1\nt -1 1\n",
+         "tree index must be non-negative (line 3, column 3)"),
     ])
     def test_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "bad.tree"
@@ -306,6 +313,7 @@ class TestOrbitFormat:
 
     @pytest.mark.parametrize("text, message", [
         ("0 a\na0\n", "group order must be positive (line 1, column 1)"),
+        ("-2 a\na0\n", "group order must be positive (line 1, column 1)"),
         ("3 a a\na0\n", "duplicate label classes (line 1, column 5)"),
     ])
     def test_malformed_header(self, text, message):

@@ -10,6 +10,7 @@ so any pivoting or pruning bug shows up as a disagreement.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -575,12 +576,13 @@ class TestAutomorphismsAgainstFullEnumeration:
 
 def vertex_invariant_colors(K, pinv) -> list[int]:
     """Reference start coloring from vertex invariants: facet degree, link
-    f-vector, and the sorted row of pair invariants at the vertex."""
+    f-vector, and the sorted edge colors at the vertex (their number is the
+    degree, which fixes the number of non-edges)."""
     n = K.num_vertices
     # in dimension 0 every link is empty, and so is its f-vector
     keys = [(sum(v in f for f in K.facets),
              K.link(v).f_vector().counts if K.dim else (),
-             tuple(sorted(pinv[v][u] for u in range(n) if u != v)))
+             tuple(sorted(c for _, c in pinv[v])))
             for v in range(n)]
     intern = {k: i for i, k in enumerate(sorted(set(keys), key=repr))}
     return [intern[k] for k in keys]
@@ -633,6 +635,109 @@ class TestUniformStartAgainstVertexInvariants:
                                                  seed=seed)))
             self.check(dense(random_tree_complex(dim, rng.randint(1, 30),
                                                  seed=seed)))
+
+
+def dense_pair_invariants(K, n: int) -> list[list[int]]:
+    """Oracle: an n x n table of interned invariants of every vertex pair,
+    one shared value for the pairs that are not edges."""
+    edge_links = _edge_link_counts(K)
+    triple_count = Counter(triple for f in K.facets
+                           for triple in itertools.combinations(f, 3))
+    # co-degree profile of a pair: how often each third vertex completes it
+    profiles: dict[tuple[int, int], list[int]] = {}
+    for (a, b, c), cnt in triple_count.items():
+        profiles.setdefault((a, b), []).append(cnt)
+        profiles.setdefault((a, c), []).append(cnt)
+        profiles.setdefault((b, c), []).append(cnt)
+    keys: dict[tuple[int, int], tuple] = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            keys[(u, v)] = (edge_links.get((u, v)),
+                            tuple(sorted(profiles.get((u, v), ()))))
+    intern = {k: i for i, k in enumerate(sorted(set(keys.values()),
+                                                key=repr))}
+    table = [[0] * n for _ in range(n)]
+    for (u, v), k in keys.items():
+        table[u][v] = table[v][u] = intern[k]
+    return table
+
+
+def dense_refine_pair(dom: list[int], cod: list[int],
+                      pinv: list[list[int]], n: int):
+    """Oracle: refine both colorings in lockstep, keying each vertex by all
+    n - 1 other vertices; None when class profiles diverge."""
+    while True:
+        dkeys = [(dom[v],
+                  tuple(sorted((dom[u], pinv[v][u]) for u in range(n) if u != v)))
+                 for v in range(n)]
+        ckeys = [(cod[v],
+                  tuple(sorted((cod[u], pinv[v][u]) for u in range(n) if u != v)))
+                 for v in range(n)]
+        if sorted(dkeys) != sorted(ckeys):
+            return None
+        intern = {k: i for i, k in enumerate(sorted(set(dkeys)))}
+        ndom = [intern[k] for k in dkeys]
+        ncod = [intern[k] for k in ckeys]
+        if len(intern) == len(set(dom)):
+            return ndom, ncod
+        dom, cod = ndom, ncod
+
+
+class TestSparseRefinementAgainstDense:
+    """Keying a vertex by its edges alone must give the partitions that
+    keying it by every other vertex gives: at the root, and after each
+    individualization v -> w with w in v's root cell, where the two must
+    also agree on whether the colorings diverge."""
+
+    def check(self, K, sources=None) -> list[bool]:
+        n = K.num_vertices
+        pinv, table = _pair_invariants(K, n), dense_pair_invariants(K, n)
+        mine = _refine_pair([0] * n, [0] * n, pinv, n)[0]
+        ref = dense_refine_pair([0] * n, [0] * n, table, n)[0]
+        assert cells(mine) == cells(ref)
+        diverged = []
+        for v in range(n) if sources is None else sources:
+            for w in range(n):
+                if mine[w] != mine[v]:
+                    continue
+                got = _individualize(mine, mine, v, w, pinv, n)
+                dom, cod = list(ref), list(ref)
+                dom[v] = cod[w] = n
+                want = dense_refine_pair(dom, cod, table, n)
+                assert (got is None) == (want is None), (v, w)
+                if got is not None:
+                    assert cells(got[0]) == cells(want[0]), (v, w)
+                    assert cells(got[1]) == cells(want[1]), (v, w)
+                diverged.append(got is None)
+        return diverged
+
+    def test_catalog(self):
+        for name in CATALOG_COMPLEXES:
+            self.check(catalog.get(name), sources=(0,))
+
+    def test_spheres_and_cross_polytopes(self):
+        for d in range(9):
+            self.check(standard_sphere(d))
+        for d in range(1, 6):
+            self.check(cross_polytope_boundary(d))
+
+    def test_divergence_verdicts(self):
+        # C6 + C3 + C3: mapping a hexagon vertex onto a triangle vertex
+        # diverges, mapping it onto another hexagon vertex does not
+        K = Complex([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
+                     (6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)])
+        diverged = self.check(K)
+        assert len(diverged) == 144 and sum(diverged) == 72
+
+    def test_seeded_random_complexes(self):
+        # dimension 1 is left to the cycles above: a stacked 1-sphere is
+        # one cell, so it costs n^2 dense refinements
+        rng = random.Random(ORACLE_SEED + 3)
+        for _ in range(10):
+            dim, seed = rng.randint(2, 4), rng.randint(0, 10 ** 9)
+            for make in (random_stacked_sphere, random_stacked_ball,
+                         random_tree_complex):
+                self.check(dense(make(dim, rng.randint(2, 30), seed=seed)))
 
 
 def scanned_link(K, face) -> Complex:
