@@ -5,12 +5,12 @@ Walkup classes and the face-vector lower-bound report.
 
 The stacked-sphere recognizer works by reverse stacking moves: a vertex
 whose link is the boundary of a simplex is removed and its star replaced by
-the single facet on the link's vertex set.  Each such move inverts one
-stacking step, so a complex reduces to the boundary of a simplex exactly
-when it is a stacked sphere.  Any qualifying vertex is the apex over a
-leaf of the underlying tree, so a stacked sphere reduces from whichever
-one is taken, and a run that succeeds is a sequence of inverse stackings,
-which certifies stackedness: the verdict does not depend on the order.
+the single facet on the link's vertex set, unless that is a facet already.
+Each move inverts one stacking step, so a complex reduces to the boundary
+of a simplex exactly when it is a stacked sphere; any qualifying vertex is
+the apex over a leaf of the underlying tree, so the order does not matter.
+One loop gives the verdict and the residual, what is left when no move
+applies: homeomorphic to K, it is where ``homology`` takes Betti numbers.
 
 Walkup membership reads the vertex stars of K: K(d) reduces every link
 (no open link reduces), whose facets are the ridges of the star opposite
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .core import Complex, _Record
+from .core import Complex, GeneralComplex, _Record
 from .errors import DomainError
 from .graphs import Graph
 
@@ -90,16 +90,31 @@ def _spans_stacked_ball(K: Complex, star, num_vertices: int) -> bool:
 
 
 def is_stacked_sphere(K: Complex) -> bool:
-    """Greedy reverse-stacking reduction to the boundary of a simplex.
+    """Reverse-stacking reduction to the boundary of a simplex.
 
     The input must be a closed complex (every ridge in exactly two facets,
-    see ``is_closed``); any other complex raises ``DomainError``.
+    see ``is_closed``); any other complex raises ``DomainError``.  Moves that
+    end at a simplex boundary undo stackings; a stacked sphere meets an
+    existing tau only there, as tau and the star close up into all of K.
     """
     if K.dim < 1:
         raise DomainError("stacked sphere test needs dimension >= 1")
     if not is_closed(K):
         raise DomainError("complex is not closed")
-    return _reverse_stacking(K.facets, K.dim)
+    R = stacking_residual(K)
+    return R.num_vertices == R.num_facets == K.dim + 2
+
+
+def stacking_residual(K: GeneralComplex) -> GeneralComplex:
+    """What reverse-stacking moves leave of K, homeomorphic to it; memoized.
+    K itself when no move applies or K is no ``Complex`` of dimension >= 1."""
+    def residual():  # None: no move applied
+        incidence, _ = _unstack(K.facets, K.dim)
+        return None if len(incidence) == K.num_vertices else Complex._from_canonical(
+            tuple(sorted(set().union(*incidence.values()))))
+    if not isinstance(K, Complex) or K.dim < 1:
+        return K
+    return K._memo("stacking_residual", residual) or K
 
 
 def _reverse_stacking(facets, d: int) -> bool:
@@ -107,6 +122,15 @@ def _reverse_stacking(facets, d: int) -> bool:
     move keeps the facet count of every ridge not through the removed
     vertex, and each ridge through it lies in two of its d+1 facets, so a
     ridge in one or three facets stays, and a simplex boundary has none."""
+    incidence, count = _unstack(facets, d)
+    return len(incidence) == count == d + 2  # all (d+1)-subsets of d+2
+
+
+def _unstack(facets, d: int) -> tuple[dict[int, set], int]:
+    """Reverse stacking moves on distinct d-faces, until none applies or a
+    simplex boundary is left: the star of v, d+1 facets on d+2 vertices,
+    becomes the facet tau on v's link unless tau is one already.  Returns
+    each vertex left mapped to its facets, and the facet count."""
     incidence: dict[int, set] = {}
     for f in facets:
         for v in f:
@@ -115,32 +139,19 @@ def _reverse_stacking(facets, d: int) -> bool:
     # a vertex's star changes only when a move fills in a facet through it,
     # so the list holds every vertex that can qualify
     queue = [v for v, stars in incidence.items() if len(stars) == d + 1]
-
-    while True:
-        # d+2 distinct (d+1)-subsets of d+2 vertices are necessarily all of
-        # them, so this is the boundary of a simplex
-        if len(incidence) == d + 2 and count == d + 2:
-            return True
-        while queue:
-            v = queue.pop()
-            stars = incidence.get(v, ())
-            if len(stars) != d + 1:
-                continue
-            around: set[int] = set()
-            for f in stars:
-                around.update(f)
-            around.discard(v)
-            if len(around) == d + 1:
-                # the d+1 link facets are distinct d-subsets of d+1
-                # vertices, so the link is the boundary of a simplex
-                break
-        else:
-            return False
+    while queue and not len(incidence) == count == d + 2:
+        v = queue.pop()
+        stars = incidence.get(v, ())
+        if len(stars) != d + 1:
+            continue
+        around = set().union(*stars)
+        around.discard(v)
+        # d+1 distinct d-subsets of d+1 vertices: the link bounds a simplex
+        if len(around) != d + 1:
+            continue
         tau = tuple(sorted(around))
         if tau in incidence[tau[0]]:
-            # the filled-in facet already exists (each vertex of tau is still
-            # a key); a stacked sphere has it only as the simplex boundary
-            return False
+            continue  # each vertex of tau is still a key
         for f in stars:
             for u in f:
                 if u != v:
@@ -151,6 +162,7 @@ def _reverse_stacking(facets, d: int) -> bool:
             incidence[u].add(tau)
             if len(incidence[u]) == d + 1:
                 queue.append(u)
+    return incidence, count
 
 
 def in_walkup_class(K: Complex, variant: str) -> bool:

@@ -24,10 +24,10 @@ K(d) members, which are manifolds).  For the same reason ``homology`` exits
 field, or when beta_j over Q exceeds beta_j over GF(2) for some j.
 
 ``euler_formula`` (K(d) members, d >= 4 even) tests chi = 2 beta_0 - 2 beta_1
-over GF(2), the connected chi = 2 - 2 beta_1 summed over components.  It
-tested chi = 2 - 2 beta_1 before, so the one changed report is that of a
-disconnected member, such as two disjoint boundaries of the 5-simplex: it
-now passes and exits 0, where it failed and exited 1.
+over GF(2), the connected chi = 2 - 2 beta_1 summed over components.  This
+check, ``orientable_vs_top_betti_q`` and the beta_0 check of ``homology``
+compare facts of K itself (chi, orientation, components) with Betti numbers
+taken on the reverse-stacking residual, so they also test that reduction.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
     in_k = report["walkup"] is not None and report["walkup"]["K"]
 
     betti: dict = {}
-    stage("coreduction", lambda: homology._coreduction(K))
+    stage("coreduction", lambda: homology._coreduction(classify.stacking_residual(K)))
     for field in _fields(args.field):
         betti[field] = list(stage(
             f"betti_{field}", lambda f=field: homology.betti_numbers(K, f)).values)

@@ -44,19 +44,19 @@ def _tokens(raw: str) -> list[tuple[str, int]]:
 
 def _int_token(token: str, column: int, lineno: int, below: int | None = None,
                least: int = 0, rule: str | None = None) -> int:
-    """An integer token of at least ``least``, less than ``below`` if given;
-    a smaller value raises ``rule``, or else the vertex-id message."""
+    """An integer token: in [0, ``below``) if that is given, else at least
+    ``least``, where a smaller value raises ``rule`` or the vertex-id message."""
     try:
         value = int(token, 10)
     except ValueError:
         raise ParseError(f"expected an integer, got {token!r}",
                          line=lineno, column=column) from None
+    if below is not None and not 0 <= value < below:
+        raise ParseError(f"host vertex {value} out of range [0, {below})",
+                         line=lineno, column=column)
     if value < least:
         message = rule or f"vertex ids must be non-negative, got {value}"
         raise ParseError(message, line=lineno, column=column)
-    if below is not None and value >= below:
-        raise ParseError(f"host vertex {value} out of range [0, {below})",
-                         line=lineno, column=column)
     return value
 
 

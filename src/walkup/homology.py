@@ -3,16 +3,19 @@
 Boundary matrices are indexed by the canonical (sorted) face order of the
 complex, and the face obtained by deleting the i-th vertex carries sign
 (-1)^i.  Every rank comes from the one exact sparse elimination of ``linalg``
-that serves both fields.  Betti numbers are taken on a coreduced complex
-(Mrozek and Batko 2009): a base vertex per component goes (H_j(K) = H_j(K, v)
-for j > 0, and beta_0 drops by 1), then each face whose boundary in what is
-left is one face b, together with b.  The coefficient is +-1, a unit over
-GF(2) and Q, so one pass serves both fields, and what is left keeps the
-restriction of d, with no fill-in.  Coreduction fixes no rank: those of what
-is left all come from eliminations, taken top-down with clearing (Chen and
-Kerber 2011; Bauer, Kerber and Reininghaus 2014): the j-faces that were
-pivot columns of d_{j+1} are left out of d_j, which keeps rank d_j as
-d_j d_{j+1} = 0.  Torsion is out of scope.
+that serves both fields.  Betti numbers of a pure K are those of its
+reverse-stacking residual (``classify.stacking_residual``; Bjoerner and Lutz
+2000): a move swaps the ball star(v) for the ball tau, not yet a face, on the
+same boundary, so it keeps the homeomorphism type.  That is coreduced (Mrozek
+and Batko 2009): a base vertex per component goes (H_j(K) = H_j(K, v) for
+j > 0, and beta_0 drops by 1), then each face whose boundary in what is left
+is one face b, together with b.  The coefficient is +-1, a unit over GF(2) and
+Q, so one pass serves both fields, and what is left keeps the restriction of
+d, with no fill-in.  Coreduction fixes no rank: those of what is left all come
+from eliminations, taken top-down with clearing (Chen and Kerber 2011; Bauer,
+Kerber and Reininghaus 2014): the j-faces that were pivot columns of d_{j+1}
+are left out of d_j, which keeps rank d_j as d_j d_{j+1} = 0.  Torsion is out
+of scope.
 
 The cascade and the kernel also run under a face mask of K, on an induced
 subcomplex Y or on the pair (K, Y), and the brute-force tightness check
@@ -193,12 +196,12 @@ class BettiVector(_Record):
 
 
 def betti_numbers(K: GeneralComplex, field: str = GF2) -> BettiVector:
-    """Betti numbers by exact elimination: beta_j = dim ker d_j - rank d_{j+1}."""
+    """beta_j = dim ker d_j - rank d_{j+1} on ``classify.stacking_residual(K)``."""
     if K.is_empty:
         raise DomainError("the empty complex has no Betti numbers")
     field = normalize_field(field)
-    return K._memo(("betti", field),
-                   lambda: BettiVector(field=field, values=_betti(K, field)))
+    return K._memo(("betti", field), lambda: BettiVector(
+        field=field, values=_betti(classify.stacking_residual(K), field)))
 
 
 def _betti(K: GeneralComplex, field: str, alive: list[bytearray] | None = None,

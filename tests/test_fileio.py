@@ -269,6 +269,11 @@ class TestTreeFamilyFormat:
          "host vertex count must be non-negative (line 1, column 5)"),
         ("1 2 2\ne 0 1\nt -1 1\n",
          "tree index must be non-negative (line 3, column 3)"),
+        # a negative host vertex is out of range like any other
+        ("1 2 2\ne 0 -1\nt 0 0\nt 1 1\n",
+         "host vertex -1 out of range [0, 2) (line 2, column 5)"),
+        ("1 2 2\ne 0 1\nt 0 0\nt 1 -1\n",
+         "host vertex -1 out of range [0, 2) (line 4, column 5)"),
     ])
     def test_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "bad.tree"

@@ -123,6 +123,24 @@ def test_verify_builds_one_table_per_dimension(capsys, monkeypatch):
     assert sorted(j for K, j in tables if K is fresh) == [1, 2, 3, 4]
 
 
+def test_verify_of_a_stacked_sphere_builds_only_the_top_table(
+        tmp_path, capsys, monkeypatch):
+    fresh = random_stacked_sphere(4, 200, seed=1)
+    path = tmp_path / "sphere.facets"
+    path.write_text(fileio.format_facets(fresh))
+    monkeypatch.setattr(fileio, "parse_facets", lambda text: fresh)
+    tables = table_builds(monkeypatch)
+    cored = counting(monkeypatch, homology, "_coreduction")
+    assert main(["verify", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["properties"]["stacked_sphere"]
+    assert doc["betti"] == {GF2: [1, 0, 0, 0, 1], Q: [1, 0, 0, 0, 1]}
+    # the Betti numbers come from the residual boundary of the 5-simplex:
+    # K's lower tables are never built and K itself is never coreduced
+    assert [j for K, j in tables if K is fresh] == [4]
+    assert {args[0].num_facets for args in cored} == {6}
+
+
 def test_sphere_class_builds_no_ridge_table(monkeypatch):
     K = Complex(random_stacked_sphere(4, 800, seed=1).facets)
     tables = table_builds(monkeypatch)
@@ -272,7 +290,7 @@ def test_brute_force_reads_betti_numbers_under_masks(monkeypatch):
     # the masked runs memoize nothing: K keeps its own tables and facts
     kinds = {key if isinstance(key, str) else key[0] for key in K._facts}
     assert kinds <= {"faces", "cofaces", "vertex_components", "coreduction",
-                     "betti"}
+                     "betti", "stacking_residual"}
     fresh = Complex(rp2)
     assert K._facts["coreduction"] == homology._coreduction(fresh)
     for field in (GF2, Q):

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from walkup import (GF2, Q, Complex, DomainError, GeneralComplex, Graph,
-                    betti_numbers, boundary_matrix, catalog, dual_graph,
+                    betti_numbers, boundary_matrix, catalog, classify, cone,
+                    dual_graph,
                     homology, in_walkup_class, is_closed, is_orientable,
                     is_stacked_ball, is_stacked_sphere, is_weak_pseudomanifold,
                     tree_family_from_complex)
@@ -844,6 +845,125 @@ class TestStackedSphereAgainstRestarts:
             assert self.verdict(is_stacked_sphere, K) == want, K
             verdicts.add(want)
         assert verdicts == {True, False, "rejected"}
+
+
+def early_exit_reverse_stacking(facets, d: int) -> bool:
+    """Oracle: the reduction that gives up at the first move whose
+    filled-in facet exists already, or when no vertex qualifies."""
+    incidence: dict = {}
+    for f in facets:
+        for v in f:
+            incidence.setdefault(v, set()).add(f)
+    count = len(facets)
+    queue = [v for v, stars in incidence.items() if len(stars) == d + 1]
+    while True:
+        if len(incidence) == d + 2 and count == d + 2:
+            return True
+        while queue:
+            v = queue.pop()
+            stars = incidence.get(v, ())
+            if len(stars) != d + 1:
+                continue
+            around = set().union(*stars) - {v}
+            if len(around) == d + 1:
+                break
+        else:
+            return False
+        tau = tuple(sorted(around))
+        if tau in incidence[tau[0]]:
+            return False
+        for f in stars:
+            for u in f:
+                if u != v:
+                    incidence[u].discard(f)
+        del incidence[v]
+        count -= d
+        for u in tau:
+            incidence[u].add(tau)
+            if len(incidence[u]) == d + 1:
+                queue.append(u)
+
+
+def reverse_moves(K) -> tuple[list, list]:
+    """Oracle, by a scan of the facets: the vertices whose star is d+1
+    facets on d+2 vertices, split by whether the facet tau on the rest is
+    new (the move applies) or a facet already (it is skipped)."""
+    d, facets = K.dim, set(K.facets)
+    new, blocked = [], []
+    for v in K.vertices:
+        star = [f for f in K.facets if v in f]
+        around = set().union(*star) - {v}
+        if len(star) == d + 1 and len(around) == d + 1:
+            (blocked if tuple(sorted(around)) in facets else new).append(v)
+    return new, blocked
+
+
+class TestStackingResidualAgainstEliminations:
+    """The reduction runs on past a move whose facet tau exists.  Its
+    verdict is still the early-exit one, and what it leaves of K has K's
+    Betti numbers and Euler characteristic, with no move left to apply."""
+
+    @staticmethod
+    def reductions() -> list:
+        """(facets, d) inputs of ``_reverse_stacking``."""
+        out = [(random_stacked_sphere(d, n, seed=ORACLE_SEED + n).facets, d)
+               for d in (1, 2, 3, 4) for n in (1, 2, 9, 40)]
+        for name in CATALOG_COMPLEXES:
+            K = catalog.get(name)
+            out += [(K.link(v).facets, K.dim - 1) for v in K.vertices]
+        out += [(cross_polytope_boundary(d).facets, d - 1) for d in range(2, 6)]
+        out += [(Complex((i, (i + 1) % n) for i in range(n)).facets, 1)
+                for n in (3, 4, 7)]
+        out.append((((0, 1), (0, 2), (1, 2), (2, 3)), 1))
+        return out
+
+    @staticmethod
+    def complexes() -> list:
+        """Complexes where moves apply, where one is skipped, or both."""
+        rng = random.Random(ORACLE_SEED)
+        out = [two_spheres_at_a_vertex(d) for d in (1, 2, 3)]
+        for d in (2, 3):
+            S = random_stacked_sphere(d, 6, seed=rng.randrange(10 ** 9))
+            T = random_stacked_sphere(d, 4, seed=rng.randrange(10 ** 9))
+            # glued at vertex 0, every other vertex of T moved past S's
+            out.append(Complex(S.facets + tuple(
+                tuple(v + max(S.vertices) if v else 0 for v in f) for f in T.facets)))
+        S = random_stacked_sphere(2, 7, seed=ORACLE_SEED)
+        out.append(Complex(S.facets + tuple(tuple(v + max(S.vertices) + 1 for v in f)
+                                            for f in RP2_6.facets)))
+        out += [random_stacked_ball(d, 9, seed=ORACLE_SEED + d) for d in (2, 3, 4)]
+        out += [cone(standard_sphere(d)) for d in (1, 2, 3)] + [cone(S)]
+        out.append(Complex([(0, 1), (0, 2), (1, 2), (2, 3)]))
+        return out
+
+    def test_verdict_matches_the_early_exit_reduction(self):
+        verdicts = set()
+        for facets, d in self.reductions():
+            want = early_exit_reverse_stacking(facets, d)
+            assert classify._reverse_stacking(facets, d) == want, (facets, d)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_betti_numbers_against_full_elimination(self):
+        applied = skipped = 0
+        for K in self.complexes():
+            R = classify.stacking_residual(K)
+            applied += R is not K
+            skipped += bool(reverse_moves(R)[1]) and R.num_facets > R.dim + 2
+            for field in (GF2, Q):
+                assert betti_numbers(K, field).values \
+                    == fully_eliminated_betti(K, field), (K, field)
+        assert applied >= 5 and skipped >= 5
+
+    def test_residual_has_no_move_left_and_the_same_euler_characteristic(self):
+        corpus = self.complexes() + [catalog.get(name) for name in CATALOG_COMPLEXES]
+        corpus += [random_stacked_sphere(d, 30, seed=ORACLE_SEED) for d in (1, 2, 3, 4)]
+        for K in corpus:
+            R = classify.stacking_residual(Complex(K.facets))
+            assert reverse_moves(R)[0] == [], K
+            assert (R.dim, R.euler_characteristic) == (K.dim, K.euler_characteristic)
+            # K itself comes back exactly when no move applies to it
+            assert (R == K) == (reverse_moves(K)[0] == []), K
 
 
 def link_building_walkup(K, variant) -> bool:
