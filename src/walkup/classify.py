@@ -12,11 +12,18 @@ the apex over a leaf of the underlying tree, so the order does not matter.
 One loop gives the verdict and the residual, what is left when no move
 applies: homeomorphic to K, it is where ``homology`` takes Betti numbers.
 
-Walkup membership reads the vertex stars of K: K(d) reduces every link
-(no open link reduces), whose facets are the ridges of the star opposite
-the vertex in the top boundary table, and Kbar(d) asks each star to span d
-more vertices than facets and to induce a dual subtree (no ridge in three
-facets allows that).
+Walkup membership reads vertex stars.  K(d) reduces every vertex link of
+the residual R (no open link reduces), whose facets are the ridges of the
+star opposite the vertex in R's top boundary table.  That is exact: a move
+at v, which fills in tau, changes only the links of v and of the vertices u
+of tau.  The link of v in K is the boundary of tau, which reduces.  The link
+of u in K is its link after the move with the facet tau - u stellarly
+subdivided by v; tau is not a facet of K, so undoing that subdivision is a
+move of the link reduction, and as the verdict of the reduction does not
+depend on the order of its moves, each link reduces exactly when it did
+before the move.  A stacked 4-sphere leaves the 6 links of the boundary of
+the 5-simplex.  Kbar(d) asks each star of K to span d more vertices than
+facets and to induce a dual subtree (no ridge in three facets allows that).
 """
 
 from __future__ import annotations
@@ -169,9 +176,11 @@ def in_walkup_class(K: Complex, variant: str) -> bool:
     """Membership in K(d), Kbar(d) or Kstar(d), read from the vertex stars.
 
     ``K``: every link reduces to a simplex boundary (an open one never
-    does).  ``Kbar``: every star, a cone over its link, spans d more vertices
-    than facets and induces a dual subtree (a ridge in three facets never
-    does).  ``Kstar``: ``K`` plus 2-neighborly.  Memoized; ``Kstar`` reuses ``K``.
+    does), read on the links of the reverse-stacking residual: a move leaves
+    each link's verdict as it was (see the module docstring).  ``Kbar``:
+    every star, a cone over its link, spans d more vertices than facets and
+    induces a dual subtree (a ridge in three facets never does).  ``Kstar``:
+    ``K`` plus 2-neighborly.  Memoized; ``Kstar`` reuses ``K``.
     """
     if variant not in WALKUP_VARIANTS:
         raise DomainError(f"unknown Walkup variant {variant!r}; "
@@ -184,14 +193,17 @@ def in_walkup_class(K: Complex, variant: str) -> bool:
 def _walkup_verdict(K: Complex, variant: str) -> bool:
     if variant == "Kstar":
         return K.is_neighborly(2) and in_walkup_class(K, "K")
-    facets, d = K.facets, K.dim
-    if variant == "K":  # the link facets of v: the ridges of its star opposite v
-        rows, ridges, w = K._cofaces(d)[0], K.faces(d - 1), d + 1
-        links = ([ridges[rows[a * w + facets[a].index(v)]] for a in star]
-                 for v, star in K.vertex_incidence(d).items())
-        return all(_reverse_stacking(link, d - 1) for link in links)
-    return all(_spans_stacked_ball(K, star, len({u for i in star for u in facets[i]}))
-               for star in K.vertex_incidence(d).values())
+    if variant == "Kbar":
+        facets = K.facets
+        return all(_spans_stacked_ball(K, star, len({u for i in star for u in facets[i]}))
+                   for star in K.vertex_incidence(K.dim).values())
+    R = stacking_residual(K)  # K(d) holds for K iff it holds for R
+    facets, d = R.facets, R.dim
+    # the link facets of v: the ridges of its star opposite v
+    rows, ridges, w = R._cofaces(d)[0], R.faces(d - 1), d + 1
+    links = ([ridges[rows[a * w + facets[a].index(v)]] for a in star]
+             for v, star in R.vertex_incidence(d).items())
+    return all(_reverse_stacking(link, d - 1) for link in links)
 
 
 def cone(K: Complex) -> Complex:

@@ -264,6 +264,8 @@ class GeneralComplex:
     def _enumerate_faces(self, k: int) -> tuple[Face, ...]:
         if k == self._dim + 1 and self.is_pure:
             return self._maximal  # already sorted and free of repeats
+        if k == 1:
+            return tuple((v,) for v in self._vertices)
         found: set[Face] = set()
         for f in self._maximal:
             if len(f) == k:

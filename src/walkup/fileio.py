@@ -16,6 +16,7 @@ line as labeled tokens such as ``a0 a1 b3``.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from pathlib import Path
 
 from .construct import OrbitPresentation, TreeFamily, parse_label
@@ -81,12 +82,19 @@ def parse_facets(text: str) -> Complex:
                 f"facet has {len(facet)} vertices, expected {first_size}",
                 line=lineno)
         facets.append(facet)
-    # sorted, distinct, non-negative and of one size: already canonical
-    return Complex._from_canonical(tuple(sorted(set(facets))))
+    # sorted, distinct, non-negative and of one size: already canonical;
+    # dict.fromkeys keeps file order, so a canonical file sorts in one pass
+    return Complex._from_canonical(tuple(sorted(dict.fromkeys(facets))))
 
 
 def format_facets(K: Complex) -> str:
-    return "".join(" ".join(map(str, f)) + "\n" for f in K.facets)
+    """One line per facet; the facets share one size, so one format fills
+    the text."""
+    facets = K.facets
+    if not facets:
+        return ""
+    line = " ".join(["%d"] * len(facets[0])) + "\n"
+    return (line * len(facets)) % tuple(chain.from_iterable(facets))
 
 
 def load_facets(path: str | Path) -> Complex:

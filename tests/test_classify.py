@@ -155,10 +155,11 @@ class TestStackedSphere:
             cyc = Complex([(i, (i + 1) % n) for i in range(n)])
             assert is_stacked_sphere(cyc)
 
-    def test_reduction_stops_at_a_filled_in_facet_already_present(self):
-        # vertices 0 and 1 qualify, and the edge each would fill in is there
-        # already; a move anyway would leave three edges on three vertices
-        # and read as a triangle
+    def test_reduction_skips_a_filled_in_facet_already_present(self):
+        # vertices 0 and 1 qualify, but the edge each would fill in is there
+        # already, so both are skipped and no other move applies; applying
+        # the move anyway would leave three edges on three vertices and read
+        # as a triangle
         assert not classify._reverse_stacking([(0, 1), (0, 2), (1, 2), (2, 3)], 1)
 
 

@@ -57,6 +57,16 @@ class TestFacetFormat:
         fileio.save_facets(K, path)
         assert fileio.load_facets(path) == K
 
+    def test_format_matches_line_by_line_join(self):
+        names = ("A5_21", "A5_41", "B5_21", "B5_26", "M4_21", "M4_41",
+                 "N4_21", "N4_26", "S4_6", "nonball_example")
+        complexes = [catalog.get(name) for name in names]
+        complexes += [Complex([(3,), (0,), (12,)]), Complex([]),
+                      generators.random_stacked_sphere(4, 20, seed=1)]
+        for K in complexes:
+            want = "".join(" ".join(map(str, f)) + "\n" for f in K.facets)
+            assert fileio.format_facets(K) == want, K
+
     def test_content_hash_sensitivity(self):
         a = fileio.content_hash(catalog.get("A5_21"))
         b = fileio.content_hash(catalog.get("B5_21"))

@@ -57,6 +57,7 @@ def test_verify_computes_each_walkup_verdict_once(capsys, monkeypatch):
                         lambda name: fresh if name == "M4_41" else real_get(name))
     stacked = counting(monkeypatch, classify, "is_stacked_sphere")
     verdicts = counting(monkeypatch, classify, "_walkup_verdict")
+    links = counting(monkeypatch, classify, "_reverse_stacking")
     assert main(["verify", "M4_41"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["walkup"] == {"K": True, "Kbar": False, "Kstar": True}
@@ -66,6 +67,10 @@ def test_verify_computes_each_walkup_verdict_once(capsys, monkeypatch):
     # each vertex link without the public guard
     assert len(stacked) == 1
     assert sorted(v for _, v in verdicts) == ["K", "Kbar", "Kstar"]
+    # no move applies to a 2-neighborly complex, so the residual is M4_41
+    # itself and K(d) reads every one of its vertex links
+    assert classify.stacking_residual(fresh) is fresh
+    assert len(links) == fresh.num_vertices
 
 
 def test_verify_builds_the_dual_graph_once(tmp_path, capsys, monkeypatch):
@@ -131,22 +136,29 @@ def test_verify_of_a_stacked_sphere_builds_only_the_top_table(
     monkeypatch.setattr(fileio, "parse_facets", lambda text: fresh)
     tables = table_builds(monkeypatch)
     cored = counting(monkeypatch, homology, "_coreduction")
+    links = counting(monkeypatch, classify, "_reverse_stacking")
     assert main(["verify", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["properties"]["stacked_sphere"]
+    assert doc["properties"]["stacked_sphere"] and doc["walkup"]["K"]
     assert doc["betti"] == {GF2: [1, 0, 0, 0, 1], Q: [1, 0, 0, 0, 1]}
-    # the Betti numbers come from the residual boundary of the 5-simplex:
-    # K's lower tables are never built and K itself is never coreduced
+    # the Betti numbers and K(d) come from the residual boundary of the
+    # 5-simplex: K's lower tables are never built, K itself is never
+    # coreduced, and K(d) reduces the residual's 6 vertex links, not 205
     assert [j for K, j in tables if K is fresh] == [4]
     assert {args[0].num_facets for args in cored} == {6}
+    assert len(links) <= 6
 
 
 def test_sphere_class_builds_no_ridge_table(monkeypatch):
     K = Complex(random_stacked_sphere(4, 800, seed=1).facets)
     tables = table_builds(monkeypatch)
     assert in_walkup_class(K, "K")
-    # the reduction needs no closedness test, so no link derives ridges
-    assert [L for L, _ in tables if L is not K] == []
+    # K(d) reads the links of the residual, the 6-facet boundary of the
+    # 5-simplex, from its top table; the reduction needs no closedness
+    # test, so no link derives ridges
+    off_k = [(L, j) for L, j in tables if L is not K]
+    assert [(L.num_facets, j) for L, j in off_k] == [(6, 4)]
+    assert off_k[0][0] is classify.stacking_residual(K)
 
 
 def test_sphere_class_builds_no_link(monkeypatch):

@@ -1036,6 +1036,35 @@ class TestWalkupClassesAgainstLinks:
         out += [cls.THREE_ON_A_RIDGE, cls.DUAL_CYCLE, cls.SHORT_STARS]
         return out
 
+    @staticmethod
+    def subdivided() -> list:
+        """Closed complexes and ones with boundary, with 1, 3 or 10 random
+        facets stellarly subdivided in turn, so a reverse-stacking move
+        applies and K(d) is read on a residual other than K."""
+        rng = random.Random(ORACLE_SEED)
+        bases = [catalog.get("M4_21"), catalog.get("N4_21"),
+                 cross_polytope_boundary(3), cross_polytope_boundary(4),
+                 two_spheres_at_a_vertex(3), random_stacked_ball(4, 5, seed=ORACLE_SEED),
+                 catalog.get("A5_21")]
+        out = []
+        for K in bases:
+            for k in (1, 3, 10):
+                facets, top = list(K.facets), max(K.vertices)
+                for apex in range(top + 1, top + 1 + k):
+                    tau = facets.pop(rng.randrange(len(facets)))
+                    facets += [tuple(u for u in tau if u != w) + (apex,) for w in tau]
+                out.append(Complex(facets))
+        return out
+
+    def test_k_where_a_move_applies(self):
+        verdicts = []
+        for K in self.subdivided():
+            assert reverse_moves(K)[0], K
+            want = link_building_walkup(K, "K")
+            assert in_walkup_class(Complex(K.facets), "K") == want, K
+            verdicts.append(want)
+        assert len(verdicts) >= 20 and set(verdicts) == {True, False}
+
     def test_every_variant_against_built_links(self):
         seen = {variant: set() for variant in ("K", "Kbar", "Kstar")}
         for K in self.corpus():
