@@ -3,6 +3,14 @@
 Dual graphs, (weak) pseudomanifold tests, stacked balls and spheres, the
 Walkup classes and the face-vector lower-bound report.
 
+One walk of the top boundary table of a weak pseudomanifold, from facet 0
+across each ridge to the facet on its other side, says whether the dual
+graph is connected and, on a closed complex, whether the facet orientations
+close up; ``is_pseudomanifold``, the orientability test of ``homology`` and
+the dual-tree test of ``verify`` read it.  The dual graph itself is built
+only where adjacency is read: the stacked-ball and Kbar subtree tests and
+the tree-family construction.
+
 The stacked-sphere recognizer works by reverse stacking moves: a vertex
 whose link is the boundary of a simplex is removed and its star replaced by
 the single facet on the link's vertex set, unless that is a facet already.
@@ -29,7 +37,9 @@ facets and to induce a dual subtree (no ridge in three facets allows that).
 from __future__ import annotations
 
 import itertools
+from array import array
 from math import comb
+from operator import sub
 
 from .core import Complex, GeneralComplex, _Record
 from .errors import DomainError
@@ -64,18 +74,83 @@ def is_weak_pseudomanifold(K: Complex) -> bool:
     """True iff every (dim-1)-face lies in at most two facets."""
     if K.dim < 1:
         raise DomainError("weak pseudomanifold test needs dimension >= 1")
-    return all(b - a <= 2 for a, b in itertools.pairwise(K._cofaces(K.dim)[1]))
+    return max(_ridge_degrees(K)) <= 2
 
 
 def is_closed(K: Complex) -> bool:
     """True iff every (dim-1)-face lies in exactly two facets."""
     if K.dim < 1:
         raise DomainError("closedness test needs dimension >= 1")
-    return all(b - a == 2 for a, b in itertools.pairwise(K._cofaces(K.dim)[1]))
+    return _ridge_degrees(K) == {2}
+
+
+def _ridge_degrees(K: Complex) -> frozenset[int]:
+    """The numbers of facets that the ridges lie in, read from the top
+    table; memoized."""
+    def degrees() -> frozenset[int]:
+        start = K._cofaces(K.dim)[1]
+        return frozenset(map(sub, itertools.islice(start, 1, None), start))
+    return K._memo("ridge_degrees", degrees)
 
 
 def is_pseudomanifold(K: Complex) -> bool:
-    return is_weak_pseudomanifold(K) and dual_graph(K).is_connected()
+    """True iff every (dim-1)-face lies in at most two facets and the dual
+    graph is connected, as the walk of the top table finds it."""
+    return is_weak_pseudomanifold(K) and _facet_walk(K)[0]
+
+
+def _facet_walk(K: Complex) -> tuple[bool, bool | None]:
+    """Walk the top boundary table of a weak pseudomanifold (the caller
+    checks it) from facet 0, across each ridge in two facets to the other
+    one.  Returns whether every facet was reached and, when every ridge lies
+    in two facets, whether the facet orientations close up consistently
+    (else None).  Memoized."""
+    return K._memo("facet_walk", lambda: _walk_facets(K))
+
+
+def _walk_facets(K: Complex) -> tuple[bool, bool | None]:
+    (rows, start, entries), w = K._cofaces(K.dim), K.dim + 1
+    # orient[a] = eps_a (-1)^(a w), so facet a's sign on its ridge at row
+    # entry k, eps_a (-1)^(k - a w), is orient[a] (-1)^k
+    orient = [1] + [0] * (K.num_facets - 1)
+    order = array("i", [0])  # facets in the order they were reached
+    consistent = True
+    for a in order:  # the loop also visits what it appends
+        base, s = a * w, orient[a]
+        for k in range(base, base + w):
+            r = rows[k]
+            i = start[r]
+            if start[r + 1] - i == 1:
+                continue  # a boundary ridge: no facet on its other side
+            e = entries[i] + entries[i + 1]  # k and the other facet's entry
+            b = (e - k) // w
+            want = s if e % 2 else -s  # s (-1)^k = -want (-1)^(e - k)
+            if orient[b] == 0:
+                orient[b] = want
+                order.append(b)
+            elif orient[b] != want:
+                consistent = False
+    # in a weak pseudomanifold, closed iff the table has two entries per ridge
+    closed = len(entries) == 2 * (len(start) - 1)
+    return len(order) == K.num_facets, consistent if closed else None
+
+
+def _has_tree_dual_graph(K: Complex) -> bool:
+    """``dual_graph(K).is_tree()``, read from the top table and the walk.
+
+    In a weak pseudomanifold each ridge in two facets is one dual edge, and
+    no two ridges give the same edge: two distinct facets share at most one
+    ridge, as two ridges of one facet span all of it.  The table holds
+    (d+1) f_d entries, one per facet and ridge of it, on f_{d-1} ridges in
+    one or two facets each, so (d+1) f_d - f_{d-1} ridges lie in two.  A
+    complex that is not weak has a ridge in three or more facets, which puts
+    a triangle in the dual graph, so its dual graph is no tree.
+    """
+    if not is_weak_pseudomanifold(K):
+        return False
+    start = K._cofaces(K.dim)[1]
+    edges = (K.dim + 1) * K.num_facets - (len(start) - 1)
+    return edges == K.num_facets - 1 and _facet_walk(K)[0]
 
 
 def is_stacked_ball(K: Complex) -> bool:

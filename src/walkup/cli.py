@@ -119,6 +119,13 @@ def cmd_verify(args) -> int:
 
     report: dict = {"schema": SCHEMA_VERSION, "input": identity,
                     "seed": args.seed}
+    props: dict = {}
+    if K.dim >= 1:  # builds the top table
+        wpm = props["weak_pseudomanifold"] = stage(
+            "pseudomanifold", lambda: classify.is_weak_pseudomanifold(K))
+    # a complex that is its own residual gets every face table here, and the
+    # count reads their lengths; any other count builds no table of K
+    stage("coreduction", lambda: homology._coreduction(classify.stacking_residual(K)))
     fv = stage("f_vector", K.f_vector)
     report["dim"] = K.dim
     report["num_vertices"] = K.num_vertices
@@ -126,18 +133,15 @@ def cmd_verify(args) -> int:
     report["f_vector"] = list(fv.counts)
     report["euler_characteristic"] = fv.chi
 
-    connected = stage("connected", K.is_connected)
-    props: dict = {"connected": connected}
+    connected = props["connected"] = stage("connected", K.is_connected)
     closed = False
     report["boundary_f_vector"] = None
     if K.dim >= 1:
-        wpm = props["weak_pseudomanifold"] = stage(
-            "pseudomanifold", lambda: classify.is_weak_pseudomanifold(K))
         closed = props["closed"] = classify.is_closed(K)
-        dual = stage("dual_graph", lambda: classify.dual_graph(K))
-        props["pseudomanifold"] = classify.is_pseudomanifold(K)
+        props["pseudomanifold"] = stage(
+            "dual_graph", lambda: classify.is_pseudomanifold(K))
         props["neighborly"] = K.is_neighborly(2)
-        props["tree_dual_graph"] = dual.is_tree()
+        props["tree_dual_graph"] = classify._has_tree_dual_graph(K)
         props["stacked_ball"] = stage(
             "stackedness", lambda: classify.is_stacked_ball(K))
         props["stacked_sphere"] = (
@@ -157,7 +161,6 @@ def cmd_verify(args) -> int:
     in_k = report["walkup"] is not None and report["walkup"]["K"]
 
     betti: dict = {}
-    stage("coreduction", lambda: homology._coreduction(classify.stacking_residual(K)))
     for field in _fields(args.field):
         betti[field] = list(stage(
             f"betti_{field}", lambda f=field: homology.betti_numbers(K, f)).values)
@@ -267,9 +270,10 @@ def cmd_table1(args) -> int:
     for name in catalog.TABLE1_NAMES:
         K = catalog.get(name)
         want = catalog.expected(name)
-        fv = K.f_vector()
+        # homology builds every face table, which the count then reads
         beta1 = homology.betti_numbers(K, homology.GF2)[1]
         orientable = homology.is_orientable(K)
+        fv = K.f_vector()
         aut = symmetry.automorphism_group(K)
         type_string = homology.sphere_bundle_type(K.dim, beta1, orientable)
         got = {
@@ -389,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
     p.add_argument("input", help="catalog name, facet file path, or -")
-    p.add_argument("--field", choices=["gf2", "q", "both"], default="both")
+    p.add_argument("--field", type=str.lower, choices=["gf2", "q", "both"],
+                   default="both", help="coefficient field, in any case")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--json", dest="text", action="store_false",
                       help="JSON report (default)")
@@ -425,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="Betti numbers over GF(2) and/or Q")
     p.add_argument("input", help="catalog name, facet file path, or -")
-    p.add_argument("--field", choices=["gf2", "q", "both"], default="both")
+    p.add_argument("--field", type=str.lower, choices=["gf2", "q", "both"],
+                   default="both", help="coefficient field, in any case")
     common(p)
     p.set_defaults(func=cmd_homology)
 

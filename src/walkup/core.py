@@ -5,18 +5,21 @@ of its vertices; the sorted tuple is the canonical form used everywhere
 (container ordering, matrix indexing, file output), so all derived data is
 deterministic.  Complexes are immutable after construction and safe to share
 between threads.  Derived facts (face tables, vertex incidence, the boundary
-table of each dimension, vertex components, the boundary complex, the dual
-graph, Betti numbers, orientability, class membership, the automorphism
-group) are memoized per instance: every entry is a deterministic function of
-the facets and is written with ``dict.setdefault``, so threads that race on
-one entry compute equal values and all of them return the one that was
-stored.  Equal but distinct instances keep separate memos.
+table of each dimension, the face counts, the ridge degrees, vertex
+components, the boundary complex, the dual graph, the walk of the top table,
+Betti numbers, class membership, the automorphism group) are memoized per
+instance: every entry is a deterministic function of the facets and is
+written with ``dict.setdefault``, so threads that race on one entry compute
+equal values and all of them return the one that was stored.  Equal but
+distinct instances keep separate memos.
 
 The boundary table of dimension j, the only code that derives which
 (j-1)-faces bound which j-faces, serves every reader of that relation.  Ridge
-incidence and the dual graph are views of the top table, orientation walks
-it, and K(d) membership reads the link facets of each vertex from it without
-building the link.
+incidence and the dual graph are views of the top table; one walk of it
+decides strong connectivity and orientation, and K(d) membership reads the
+link facets of each vertex from it without building the link.  A face count
+reads the table of its dimension when one was built and otherwise counts an
+unsorted set, so counting builds no table.
 
 ``Complex`` is the pure case (all maximal faces of equal dimension) and
 carries the geometric operations: links, stars, skeletons, boundary.
@@ -275,10 +278,23 @@ class GeneralComplex:
         return tuple(sorted(found))
 
     def f_vector(self) -> FaceVector:
-        """Face counts per dimension; raises on the empty complex."""
+        """Face counts per dimension; raises on the empty complex.  Memoized;
+        builds no face table (see the module docstring)."""
         if self.is_empty:
             raise DomainError("the empty complex has no face vector")
-        return FaceVector(tuple(len(self.faces(j)) for j in range(self._dim + 1)))
+        return self._memo("f_vector", lambda: FaceVector(
+            tuple(map(self._count_faces, range(self._dim + 1)))))
+
+    def _count_faces(self, j: int) -> int:
+        table = self._facts.get(("faces", j))
+        if table is not None:
+            return len(table)
+        if j == 0:
+            return len(self._vertices)
+        if j == self._dim and self.is_pure:
+            return len(self._maximal)
+        return len(set(chain.from_iterable(
+            map(combinations, self._maximal, repeat(j + 1)))))
 
     @property
     def euler_characteristic(self) -> int:
@@ -456,4 +472,6 @@ class Complex(GeneralComplex):
         """True iff every l-subset of the vertices is a face."""
         if not 1 <= l <= self._dim + 1:
             raise DomainError(f"l={l} out of range [1, {self._dim + 1}]")
-        return len(self.faces(l - 1)) == comb(self.num_vertices, l)
+        counts = self._facts.get("f_vector")  # else count that one dimension
+        found = self._count_faces(l - 1) if counts is None else counts[l - 1]
+        return found == comb(self.num_vertices, l)

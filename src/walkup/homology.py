@@ -27,7 +27,6 @@ ker(H_*(Y) -> H_*(K)), so it is 0 iff every map is injective (Kuehnel
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from itertools import accumulate, compress, cycle, pairwise
 
@@ -218,41 +217,21 @@ def _betti(K: GeneralComplex, field: str, alive: list[bytearray] | None = None,
 
 
 def is_orientable(K: Complex) -> bool:
-    """Propagate facet orientations across the dual graph.
+    """Read the facet orientations off the walk of the top boundary table
+    (``classify`` runs it once per complex and memoizes it).
 
     Adjacent facets must induce opposite orientations on their shared ridge;
-    the complex is orientable iff the propagation closes without
-    contradiction.  Requires a closed pseudomanifold: every ridge in exactly
-    two facets (``classify.is_closed``) and a connected dual graph.  The
-    verdict is memoized on the complex.
+    the complex is orientable iff the orientations propagated from facet 0
+    close up without contradiction.  Requires a closed pseudomanifold: every
+    ridge in exactly two facets (``classify.is_closed``) and a connected dual
+    graph; anything else raises ``DomainError``.
     """
     if K.dim < 1:
         raise DomainError("orientability needs dimension >= 1")
-    return K._memo("orientable", lambda: _propagate_orientation(K))
-
-
-def _propagate_orientation(K: Complex) -> bool:
     if not classify.is_closed(K):
         raise DomainError("complex is not closed")
-    (rows, _, entries), w = K._cofaces(K.dim), K.dim + 1
-    # orient[a] = eps_a (-1)^(a w), so facet a's sign on its ridge at row
-    # entry k, eps_a (-1)^(k - a w), is orient[a] (-1)^k
-    orient = [1] + [0] * (K.num_facets - 1)
-    order = array("i", [0])  # facets in the order they were oriented
-    consistent = True
-    for a in order:  # the loop also visits what it appends
-        base, s = a * w, orient[a]
-        for k in range(base, base + w):
-            r = 2 * rows[k]  # the ridge lies in two facets, at entries r, r + 1
-            e = entries[r] + entries[r + 1]
-            b = (e - k) // w
-            want = s if e % 2 else -s  # s (-1)^k = -want (-1)^(e - k)
-            if orient[b] == 0:
-                orient[b] = want
-                order.append(b)
-            elif orient[b] != want:
-                consistent = False
-    if 0 in orient:
+    connected, consistent = classify._facet_walk(K)
+    if not connected:
         raise DomainError("dual graph is not connected")
     return consistent
 

@@ -124,6 +124,16 @@ class TestVerify:
         _, doc, _ = run_json(capsys, "verify", "S4_6", "--field", "q")
         assert list(doc["betti"]) == ["Q"]
 
+    @pytest.mark.parametrize("label, choice", [("Q", "q"), ("GF2", "gf2"),
+                                               ("Both", "both")])
+    @pytest.mark.parametrize("argv", [("verify", "M4_21", "--text"),
+                                      ("homology", "N4_21")])
+    def test_field_takes_the_labels_reports_print(self, capsys, label, choice,
+                                                  argv):
+        # reports label the fields GF2 and Q; --field takes them as given
+        assert run(capsys, *argv, "--field", label) \
+            == run(capsys, *argv, "--field", choice)
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, _, _ = run(capsys, "verify", "S4_6", "--out", str(out))

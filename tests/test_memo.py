@@ -80,8 +80,8 @@ def test_verify_builds_the_dual_graph_once(tmp_path, capsys, monkeypatch):
     assert main(["verify", str(path)]) == 0
     props = json.loads(capsys.readouterr().out)["properties"]
     assert props["stacked_ball"] and props["tree_dual_graph"]
-    # the input's dual graph serves the properties, the stacked-ball test
-    # and every vertex star of the Kbar test; no link builds one of its own
+    # the input's dual graph serves the stacked-ball test and every vertex
+    # star of the Kbar test; no link builds one of its own
     assert [K.dim for (K,) in builds] == [4]
 
 
@@ -104,13 +104,18 @@ def test_verify_walks_the_dual_graph_once(capsys, monkeypatch):
     fresh = Complex(real_get("M4_21").facets)
     monkeypatch.setattr(catalog, "get",
                         lambda name: fresh if name == "M4_21" else real_get(name))
-    passes = counting(monkeypatch, Graph, "connected_components")
+    walks = counting(monkeypatch, classify, "_walk_facets")
+    builds = counting(monkeypatch, classify, "_dual_graph")
     assert main(["verify", "M4_21"]) == 0
-    props = json.loads(capsys.readouterr().out)["properties"]
+    doc = json.loads(capsys.readouterr().out)
+    props = doc["properties"]
     assert props["pseudomanifold"] and not props["tree_dual_graph"]
-    # the pseudomanifold test walks it; a closed complex has too many dual
-    # edges for a tree, which the edge count says without a walk
-    assert len(passes) == 1
+    assert doc["orientable"] and doc["homeomorphism_type"]["type"] == "(S3xS1)^#8"
+    # one walk of the top table serves the pseudomanifold test and every
+    # orientability question; a closed complex has too many dual edges for
+    # a tree, which the table's length says, and nothing reads adjacency
+    assert [K for (K,) in walks] == [fresh]
+    assert builds == []
 
 
 def test_verify_builds_one_table_per_dimension(capsys, monkeypatch):
@@ -147,6 +152,24 @@ def test_verify_of_a_stacked_sphere_builds_only_the_top_table(
     assert [j for K, j in tables if K is fresh] == [4]
     assert {args[0].num_facets for args in cored} == {6}
     assert len(links) <= 6
+
+
+def test_verify_of_a_stacked_sphere_counts_its_faces(
+        tmp_path, capsys, monkeypatch):
+    fresh = random_stacked_sphere(4, 200, seed=1)
+    path = tmp_path / "sphere.facets"
+    path.write_text(fileio.format_facets(fresh))
+    monkeypatch.setattr(fileio, "parse_facets", lambda text: fresh)
+    builds = counting(monkeypatch, classify, "_dual_graph")
+    assert main(["verify", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["f_vector"] == [205, 1010, 2010, 2005, 802]
+    assert doc["bounds"]["vertex_bound"]["lhs"] == 19900
+    # the edges and triangles are counted, not tabled, and no test reads
+    # dual adjacency: the walk and the table's length answer them
+    assert ("faces", 1) not in fresh._facts
+    assert ("faces", 2) not in fresh._facts
+    assert "dual_graph" not in fresh._facts and builds == []
 
 
 def test_sphere_class_builds_no_ridge_table(monkeypatch):
@@ -302,7 +325,7 @@ def test_brute_force_reads_betti_numbers_under_masks(monkeypatch):
     # the masked runs memoize nothing: K keeps its own tables and facts
     kinds = {key if isinstance(key, str) else key[0] for key in K._facts}
     assert kinds <= {"faces", "cofaces", "vertex_components", "coreduction",
-                     "betti", "stacking_residual"}
+                     "betti", "stacking_residual", "f_vector"}
     fresh = Complex(rp2)
     assert K._facts["coreduction"] == homology._coreduction(fresh)
     for field in (GF2, Q):

@@ -20,8 +20,8 @@ from walkup import (GF2, Q, Complex, DomainError, GeneralComplex, Graph,
                     betti_numbers, boundary_matrix, catalog, classify, cone,
                     dual_graph,
                     homology, in_walkup_class, is_closed, is_orientable,
-                    is_stacked_ball, is_stacked_sphere, is_weak_pseudomanifold,
-                    tree_family_from_complex)
+                    is_pseudomanifold, is_stacked_ball, is_stacked_sphere,
+                    is_weak_pseudomanifold, tree_family_from_complex)
 from walkup.generators import (attach_along_codim2, cross_polytope_boundary,
                                random_stacked_ball, random_stacked_sphere,
                                random_tree_complex, standard_ball,
@@ -1137,11 +1137,46 @@ def searched_orientability(K) -> bool:
     return all(orient[b] == -orient[a] * sign for a, b, sign in edges)
 
 
+def scan_connects_every_facet(K, inc) -> bool:
+    """Oracle: merge the facets of each scanned ridge, then ask whether one
+    class is left."""
+    root = list(range(K.num_facets))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for owners in inc.values():
+        for b in owners[1:]:
+            root[find(b)] = find(owners[0])
+    return len({find(a) for a in root}) == 1
+
+
+def face_counts_match_tables(K) -> None:
+    """``f_vector`` counted on a fresh copy, and on one whose top table is
+    built, against the lengths of the face tables of a third; and
+    ``is_neighborly``, counting one dimension or reading the f-vector."""
+    copy = type(K)(K.maximal_faces)
+    tables = tuple(len(copy.faces(j)) for j in range(K.dim + 1))
+    counted = type(K)(K.maximal_faces)
+    assert counted.f_vector().counts == tables
+    if isinstance(K, Complex) and K.dim >= 1:
+        partial = Complex(K.facets)
+        partial._cofaces(K.dim)  # the ridges are tabled, the rest counted
+        assert partial.f_vector().counts == tables
+        for l in range(1, K.dim + 2):
+            want = tables[l - 1] == math.comb(K.num_vertices, l)
+            assert Complex(K.facets).is_neighborly(l) == want
+            assert counted.is_neighborly(l) == want
+
+
 class TestBoundaryTableAgainstScans:
-    """Ridge incidence, the dual graph, closedness, the boundary complex and
-    orientability all read the top boundary table; the oracles scan the
-    ridges of every facet and search each facet for the vertex a ridge
-    lacks."""
+    """Ridge incidence, the dual graph, closedness, the boundary complex, the
+    pseudomanifold and dual-tree tests and orientability all read the top
+    boundary table; the oracles scan the ridges of every facet and search
+    each facet for the vertex a ridge lacks.  Face counts are checked against
+    the face tables."""
 
     @staticmethod
     def corpus() -> list:
@@ -1183,8 +1218,13 @@ class TestBoundaryTableAgainstScans:
         assert outcome(K.boundary_complex) == boundary
         orientable = outcome(searched_orientability, K)
         assert outcome(is_orientable, K) == orientable
+        strong = weak and scan_connects_every_facet(K, inc)
+        assert is_pseudomanifold(K) == strong
+        tree = dual_graph(K).is_tree()
+        assert classify._has_tree_dual_graph(Complex(K.facets)) == tree
+        face_counts_match_tables(K)
         return {"closed": closed, "weak": weak, "boundary": boundary != "rejected",
-                "orientable": orientable}
+                "orientable": orientable, "pseudomanifold": strong, "tree": tree}
 
     def test_readers_against_scans(self):
         seen: dict = {}
@@ -1193,7 +1233,8 @@ class TestBoundaryTableAgainstScans:
                 seen.setdefault(key, set()).add(value)
         assert seen == {"closed": {True, False}, "weak": {True, False},
                         "boundary": {True, False},
-                        "orientable": {True, False, "rejected"}}
+                        "orientable": {True, False, "rejected"},
+                        "pseudomanifold": {True, False}, "tree": {True, False}}
 
     @given(small_pure_complexes())
     def test_small_complexes(self, K):
@@ -1204,11 +1245,21 @@ class TestBoundaryTableAgainstScans:
         K = Complex([(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 2, 3)])
         assert sorted(map(len, scanned_ridge_incidence(K).values())) == [1] * 5 + [2, 2, 3]
         assert self.verdicts(K) == {"closed": False, "weak": False,
-                                    "boundary": False, "orientable": "rejected"}
+                                    "boundary": False, "orientable": "rejected",
+                                    "pseudomanifold": False, "tree": False}
 
     def test_complexes_of_dimension_zero_and_empty(self):
         for K in (Complex([(0,), (2,), (5,)]), Complex(())):
             assert K.ridge_incidence() == scanned_ridge_incidence(K)
+        face_counts_match_tables(Complex([(0,), (2,), (5,)]))
+
+    def test_non_pure_face_counts(self):
+        face_counts_match_tables(
+            GeneralComplex([(0, 1, 2, 3), (3, 4), (4, 5, 6), (1, 5), (7,)]))
+
+    @given(st.one_of(small_pure_complexes(), small_non_pure_complexes()))
+    def test_small_face_counts(self, K):
+        face_counts_match_tables(K)
 
 
 def edge_scan_is_induced_subtree(G, vertices) -> bool:
