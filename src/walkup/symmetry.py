@@ -3,14 +3,18 @@
 A permutation is the tuple of images of the dense vertex ids 0..n-1.  The
 search maps vertices to vertices by individualization-refinement: the
 coloring starts uniform and is refined to a fixed point against a color on
-each edge of K (its edge-link face vector and co-degree profile), and
-branching assigns one vertex of the rarest color class at a time.  Pairs
-that share no face carry no color and need no key (``_refine_pair`` says
-why).  The uniform start loses nothing: the first round splits vertices by
-their multisets of edge colors, which fix each vertex's facet degree and
-link face vector, so a start from those vertex invariants refines to the
-same partition.  The catalog complexes are 2-neighborly, so plain degrees
-are useless; the edge colors are what make the search near-linear there.
+each edge uv of K, its co-degree profile (the sorted facet counts through
+uvw, one for each third vertex w), and branching assigns one vertex of the
+rarest color class at a time.  The colors come from one pass over the
+facets; no face table is read.  Pairs that share no face carry no color and
+need no key (``_refine_pair`` says why).  The first round splits vertices
+by their multisets of edge colors, which fix each vertex's degree, its
+facet degree and the edge count of its link (half the summed lengths of its
+edges' profiles), so the whole link f-vector when d <= 3.  For d >= 4 they
+need not fix its middle counts; ``TestUniformStartAgainstVertexInvariants``
+checks that a start from the full vertex invariants refines to the same
+partitions.  The catalog complexes are 2-neighborly, so plain degrees are
+useless; the edge colors are what make the search near-linear there.
 
 No group element is enumerated.  The search is pruned by the automorphisms
 already found (McKay and Piperno, "Practical graph isomorphism, II", 2014):
@@ -83,34 +87,26 @@ def is_automorphism(K: Complex, p: Perm) -> bool:
     return all(frozenset(p[v] for v in f) in facet_set for f in K.facets)
 
 
-def _edge_link_counts(K: Complex) -> dict[tuple[int, int], tuple[int, ...]]:
-    """f-vector of lk(uv) for every edge uv, in one pass over each face table.
-
-    A (j-2)-face of the edge link is a j-face of K through u and v.
-    """
-    if K.dim < 1:
-        return {}
-    through = [Counter(pair for f in K.faces(j)
-                       for pair in itertools.combinations(f, 2))
-               for j in range(1, K.dim + 1)]
-    return {edge: tuple(c[edge] for c in through[1:]) for edge in through[0]}
-
-
 def _pair_invariants(K: Complex, n: int) -> _Edges:
     """Edge lists: (u, c) at v for each edge uv of K, where the color c
-    interns the edge-link f-vector and co-degree profile of uv."""
+    interns the co-degree profile of uv in order of first sight.
+
+    The profile fixes the number of facets through uv: its sum counts each
+    of them once for each of its d - 1 other vertices when d >= 2, and for
+    d = 1 every edge is a facet.  The edges come from the pairs of the
+    facets, so a graph's edges, which have empty profiles, still get keys.
+    """
+    profiles: dict[tuple[int, int], list[int]] = {
+        pair: [] for f in K.facets for pair in itertools.combinations(f, 2)}
     triple_count = Counter(triple for f in K.facets
                            for triple in itertools.combinations(f, 3))
-    # co-degree profile of a pair: how often each third vertex completes it
-    profiles: dict[tuple[int, int], list[int]] = {}
     for triple, cnt in triple_count.items():
         for pair in itertools.combinations(triple, 2):
-            profiles.setdefault(pair, []).append(cnt)
-    intern: dict[tuple, int] = {}  # colors in order of first sight
+            profiles[pair].append(cnt)
+    intern: dict[tuple[int, ...], int] = {}
     edges: _Edges = [[] for _ in range(n)]
-    for (u, v), counts in _edge_link_counts(K).items():
-        key = (counts, tuple(sorted(profiles.get((u, v), ()))))
-        c = intern.setdefault(key, len(intern))
+    for (u, v), counts in profiles.items():
+        c = intern.setdefault(tuple(sorted(counts)), len(intern))
         edges[u].append((v, c))
         edges[v].append((u, c))
     return edges
@@ -120,10 +116,11 @@ def _refine_pair(dom: list[int], cod: list[int], pinv: _Edges, n: int):
     """Refine both colorings in lockstep; None when class profiles diverge.
 
     v is keyed by its color and the sorted codes color(u) * n^2 + c of its
-    edges uv (colors are at most n, edge colors fewer than n^2).  Both
-    colorings enter with equal class sizes (the root is uniform; v -> w
-    gives both color n, w in v's cell), so v's non-neighbours' colors follow
-    from this key: each round gives the partition and verdict of a dense key.
+    edges uv (colors are at most n; edge colors are no more than the edges,
+    so fewer than n^2).  Both colorings enter with equal class sizes (the
+    root is uniform; v -> w gives both color n, w in v's cell), so v's
+    non-neighbours' colors follow from this key: each round gives the
+    partition and verdict of a dense key.
     """
     nn = n * n
 
@@ -219,7 +216,7 @@ def _search(K: Complex, n: int) -> tuple[int, list[Perm]]:
     for any other w one automorphism of the subtree (v_i -> w) is sought
     and, when it exists, becomes a generator.  The orbit of v_i then equals
     the G_i-orbit, and |G_i| = |orbit of v_i| * |G_{i+1}|.  The root
-    coloring is uniform; the module docstring says why that loses nothing.
+    coloring is uniform; the module docstring says what its first round fixes.
     """
     pinv = _pair_invariants(K, n)
     colors = _refine_pair([0] * n, [0] * n, pinv, n)[0]

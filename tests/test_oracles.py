@@ -28,8 +28,7 @@ from walkup.generators import (attach_along_codim2, cross_polytope_boundary,
                                standard_sphere)
 from walkup.linalg import (_fraction_free_into, _sparse_rank, _xor_into,
                            gf2_rank, int_rank)
-from walkup.symmetry import (_edge_link_counts, _individualize,
-                             _pair_invariants, _refine_pair,
+from walkup.symmetry import (_individualize, _pair_invariants, _refine_pair,
                              automorphism_group, group_elements)
 
 ORACLE_SEED = 424242
@@ -564,9 +563,19 @@ class TestAutomorphismsAgainstFullEnumeration:
             assert group_elements(K) == enumerated_automorphisms(K)
 
     def test_symmetric_group_orders(self):
-        for d in range(9):
-            assert automorphism_group(standard_sphere(d)).order \
-                == math.factorial(d + 2), d
+        # the search reads the facets only: it tables no face of any
+        # dimension, so a simplex boundary costs no 2^n face enumeration
+        def tabled(K):
+            return [key for key in K._facts if isinstance(key, tuple)
+                    and key[0] in ("faces", "cofaces")]
+
+        for d in range(21):
+            S = standard_sphere(d)
+            assert automorphism_group(S).order == math.factorial(d + 2), d
+            assert tabled(S) == [], d
+        K = Complex(catalog.get("M4_41").facets)  # a fresh, empty memo
+        assert automorphism_group(K).order == 41
+        assert tabled(K) == []
 
     def test_hyperoctahedral_group_orders(self):
         # cross_polytope_boundary(d) has d antipodal pairs: order 2^d * d!
@@ -640,8 +649,10 @@ class TestUniformStartAgainstVertexInvariants:
 
 def dense_pair_invariants(K, n: int) -> list[list[int]]:
     """Oracle: an n x n table of interned invariants of every vertex pair,
-    one shared value for the pairs that are not edges."""
-    edge_links = _edge_link_counts(K)
+    keyed by whether the pair is an edge and its sorted co-degree profile,
+    counted over each pair of each facet triple."""
+    edge_set = {pair for f in K.facets
+                for pair in itertools.combinations(f, 2)}
     triple_count = Counter(triple for f in K.facets
                            for triple in itertools.combinations(f, 3))
     # co-degree profile of a pair: how often each third vertex completes it
@@ -653,10 +664,10 @@ def dense_pair_invariants(K, n: int) -> list[list[int]]:
     keys: dict[tuple[int, int], tuple] = {}
     for u in range(n):
         for v in range(u + 1, n):
-            keys[(u, v)] = (edge_links.get((u, v)),
+            # a graph's edges have empty profiles, as its non-edges do
+            keys[(u, v)] = ((u, v) in edge_set,
                             tuple(sorted(profiles.get((u, v), ()))))
-    intern = {k: i for i, k in enumerate(sorted(set(keys.values()),
-                                                key=repr))}
+    intern = {k: i for i, k in enumerate(sorted(set(keys.values())))}
     table = [[0] * n for _ in range(n)]
     for (u, v), k in keys.items():
         table[u][v] = table[v][u] = intern[k]
@@ -748,28 +759,19 @@ def scanned_link(K, face) -> Complex:
                    for f in K.facets if fs <= set(f))
 
 
-class TestLinkInvariantsAgainstLinks:
-    """The automorphism invariants count faces through an edge in the face
-    tables; each count must be the f-vector of the edge link itself, and
-    each vertex and edge link must equal the one found by scanning every
+class TestLinksAgainstScans:
+    """Each vertex and edge link must equal the one found by scanning every
     facet."""
 
-    def test_vertex_and_edge_link_f_vectors(self):
+    def test_vertex_and_edge_links(self):
         complexes = [catalog.get(name) for name in CATALOG_COMPLEXES]
         complexes += [cross_polytope_boundary(3), cross_polytope_boundary(4),
                       standard_sphere(5)]
         complexes += [random_stacked_sphere(4, 50, seed=ORACLE_SEED + s)
                       for s in range(3)]
         for K in complexes:
-            for v in K.vertices:
-                link = K.link(v)
-                assert link == scanned_link(K, (v,))
-            edge_links = _edge_link_counts(K)
-            assert sorted(edge_links) == list(K.faces(1))
-            for edge, counts in edge_links.items():
-                link = K.link(edge)
-                assert link == scanned_link(K, edge)
-                assert counts == link.f_vector().counts
+            for face in K.faces(0) + K.faces(1):
+                assert K.link(face) == scanned_link(K, face)
 
 
 def scanned_ridge_incidence(K) -> dict:
