@@ -7,9 +7,9 @@ One walk of the top boundary table of a weak pseudomanifold, from facet 0
 across each ridge to the facet on its other side, says whether the dual
 graph is connected and, on a closed complex, whether the facet orientations
 close up; ``is_pseudomanifold``, the orientability test of ``homology`` and
-the dual-tree test of ``verify`` read it.  The dual graph itself is built
-only where adjacency is read: the stacked-ball and Kbar subtree tests and
-the tree-family construction.
+the dual-tree test behind ``is_stacked_ball`` read it.  The dual graph itself
+is built only where adjacency is read: the Kbar subtree test of each vertex
+star and the tree-family construction.
 
 The stacked-sphere recognizer works by reverse stacking moves: a vertex
 whose link is the boundary of a simplex is removed and its star replaced by
@@ -130,9 +130,7 @@ def _walk_facets(K: Complex) -> tuple[bool, bool | None]:
                 order.append(b)
             elif orient[b] != want:
                 consistent = False
-    # in a weak pseudomanifold, closed iff the table has two entries per ridge
-    closed = len(entries) == 2 * (len(start) - 1)
-    return len(order) == K.num_facets, consistent if closed else None
+    return len(order) == K.num_facets, consistent if is_closed(K) else None
 
 
 def _has_tree_dual_graph(K: Complex) -> bool:
@@ -154,7 +152,9 @@ def _has_tree_dual_graph(K: Complex) -> bool:
 
 
 def is_stacked_ball(K: Complex) -> bool:
-    """Tree dual graph plus the vertex count f_0 = f_d + d.
+    """The vertex count f_0 = f_d + d plus a tree dual graph, read from the
+    top table and the facet walk (``_has_tree_dual_graph``); no dual graph
+    is built.
 
     The single facet is a stacked ball.  A tree dual graph alone is not
     enough: the equality of the vertex count is what rules out complexes
@@ -162,13 +162,7 @@ def is_stacked_ball(K: Complex) -> bool:
     """
     if K.dim < 1:
         raise DomainError("stacked ball test needs dimension >= 1")
-    return _spans_stacked_ball(K, range(K.num_facets), K.num_vertices)
-
-
-def _spans_stacked_ball(K: Complex, star, num_vertices: int) -> bool:
-    """True iff the facets at ``star``, on ``num_vertices`` vertices, form a
-    stacked ball; three on one ridge would be a triangle, not a subtree."""
-    return num_vertices == len(star) + K.dim and dual_graph(K).is_induced_subtree(star)
+    return K.num_vertices == K.num_facets + K.dim and _has_tree_dual_graph(K)
 
 
 def is_stacked_sphere(K: Complex) -> bool:
@@ -269,9 +263,11 @@ def _walkup_verdict(K: Complex, variant: str) -> bool:
     if variant == "Kstar":
         return K.is_neighborly(2) and in_walkup_class(K, "K")
     if variant == "Kbar":
-        facets = K.facets
-        return all(_spans_stacked_ball(K, star, len({u for i in star for u in facets[i]}))
-                   for star in K.vertex_incidence(K.dim).values())
+        # the dual graph is built only once a star passes its vertex count
+        facets, d = K.facets, K.dim
+        return all(len({u for i in star for u in facets[i]}) == len(star) + d
+                   and dual_graph(K).is_induced_subtree(star)
+                   for star in K.vertex_incidence(d).values())
     R = stacking_residual(K)  # K(d) holds for K iff it holds for R
     facets, d = R.facets, R.dim
     # the link facets of v: the ridges of its star opposite v

@@ -13,6 +13,33 @@ Automorphism generators in ``verify`` and ``aut`` act on the positions
 0..n-1 of the sorted vertex list, not on the file's vertex ids: the facet
 file ``0 5 7`` gives the generators ``[[0, 2, 1], [1, 0, 2]]``.
 
+Which sections a ``verify`` report fills.  Below, K is the input d-complex,
+"closed", "connected" and "pseudomanifold" are its ``properties``, "in K(d)"
+is ``walkup["K"]``, and GF2 or Q means that ``--field`` computes that field.
+``dim``, the counts, ``f_vector``, ``euler_characteristic``, ``properties``,
+``betti`` (one list per field computed), ``automorphisms`` (the group, or
+``skipped`` past the capacity limit) and ``consistency`` are always there.
+Each other section is null unless its guard holds:
+
+- ``boundary_f_vector``: d >= 1 and K is a weak pseudomanifold that is not
+  closed, so some ridge lies in one facet;
+- ``walkup``: d >= 2;
+- ``orientable``: K is closed and a pseudomanifold;
+- ``bounds``: d >= 3, K is closed and a pseudomanifold, and GF2;
+- ``tightness``: d is 3 or 4 and K is closed;
+- ``homeomorphism_type``: d >= 4, K is connected and in K(d).
+
+``properties`` holds only ``connected`` when d = 0.  For d >= 1 it also
+holds ``weak_pseudomanifold``, ``closed``, ``pseudomanifold``,
+``neighborly``, ``tree_dual_graph``, ``stacked_ball`` and
+``stacked_sphere``, false unless K is closed.  Each ``consistency`` key is
+present exactly when:
+
+- ``betti_Q_le_GF2``: GF2 and Q;
+- ``poincare_duality_GF2``: K is in K(d), closed and connected, and GF2;
+- ``euler_formula``: K is in K(d), d >= 4 is even, and GF2;
+- ``orientable_vs_top_betti_q``: ``orientable`` is filled, and Q.
+
 Schema 2 changed the ``consistency`` checks of ``verify``.  Schema 1 compared
 the alternating sum of each Betti vector with the Euler characteristic, which
 any set of ranks satisfies, so it could never fail.  Schema 2 reports checks
@@ -107,9 +134,9 @@ def _automorphisms(K: Complex) -> dict:
 def cmd_verify(args) -> int:
     timing: dict[str, float] = {}
 
-    def stage(name: str, fn):
+    def stage(name: str, fn, *operands):
         t0 = time.perf_counter()
-        value = fn()
+        value = fn(*operands)
         timing[name] = round(time.perf_counter() - t0, 6)
         return value
 
@@ -117,80 +144,59 @@ def cmd_verify(args) -> int:
     if K.is_empty:
         raise DomainError("the complex has no facets")
 
-    report: dict = {"schema": SCHEMA_VERSION, "input": identity,
-                    "seed": args.seed}
+    # the optional sections stay null unless their guard below holds
+    report: dict = dict.fromkeys(("boundary_f_vector", "walkup", "orientable",
+                                  "bounds", "tightness", "homeomorphism_type"))
+    report.update(schema=SCHEMA_VERSION, input=identity, seed=args.seed)
     props: dict = {}
+    closed = pm = in_k = False
     if K.dim >= 1:  # builds the top table
-        wpm = props["weak_pseudomanifold"] = stage(
-            "pseudomanifold", lambda: classify.is_weak_pseudomanifold(K))
-    # a complex that is its own residual gets every face table here, and the
-    # count reads their lengths; any other count builds no table of K
+        props["weak_pseudomanifold"] = stage(
+            "pseudomanifold", classify.is_weak_pseudomanifold, K)
+    # finds and coreduces the residual: one that is K gets every face table
+    # here, and the count reads their lengths; any other builds no table of K
     stage("coreduction", lambda: homology._coreduction(classify.stacking_residual(K)))
     fv = stage("f_vector", K.f_vector)
-    report["dim"] = K.dim
-    report["num_vertices"] = K.num_vertices
-    report["num_facets"] = K.num_facets
-    report["f_vector"] = list(fv.counts)
-    report["euler_characteristic"] = fv.chi
+    report.update(dim=K.dim, num_vertices=K.num_vertices,
+                  num_facets=K.num_facets, f_vector=list(fv.counts),
+                  euler_characteristic=fv.chi)
 
     connected = props["connected"] = stage("connected", K.is_connected)
-    closed = False
-    report["boundary_f_vector"] = None
     if K.dim >= 1:
         closed = props["closed"] = classify.is_closed(K)
-        props["pseudomanifold"] = stage(
-            "dual_graph", lambda: classify.is_pseudomanifold(K))
+        pm = props["pseudomanifold"] = stage(
+            "dual_graph", classify.is_pseudomanifold, K)
         props["neighborly"] = K.is_neighborly(2)
         props["tree_dual_graph"] = classify._has_tree_dual_graph(K)
-        props["stacked_ball"] = stage(
-            "stackedness", lambda: classify.is_stacked_ball(K))
-        props["stacked_sphere"] = (
-            stage("stacked_sphere", lambda: classify.is_stacked_sphere(K))
-            if closed else False)
-        if wpm and not closed:
-            boundary = stage("boundary", K.boundary_complex)
-            if not boundary.is_empty:
-                report["boundary_f_vector"] = list(boundary.f_vector().counts)
+        props["stacked_ball"] = stage("stackedness", classify.is_stacked_ball, K)
+        props["stacked_sphere"] = closed and stage(
+            "stacked_sphere", classify.is_stacked_sphere, K)
+        if props["weak_pseudomanifold"] and not closed:
+            report["boundary_f_vector"] = list(
+                stage("boundary", K.boundary_complex).f_vector().counts)
     report["properties"] = props
 
-    if K.dim >= 2:
-        report["walkup"] = stage("walkup", lambda: {
-            v: classify.in_walkup_class(K, v) for v in classify.WALKUP_VARIANTS})
-    else:
-        report["walkup"] = None
-    in_k = report["walkup"] is not None and report["walkup"]["K"]
+    if K.dim >= 2:  # dict consumes the generator inside the stage
+        walkup = report["walkup"] = stage("walkup", dict, (
+            (v, classify.in_walkup_class(K, v)) for v in classify.WALKUP_VARIANTS))
+        in_k = walkup["K"]
 
-    betti: dict = {}
-    for field in _fields(args.field):
-        betti[field] = list(stage(
-            f"betti_{field}", lambda f=field: homology.betti_numbers(K, f)).values)
-    report["betti"] = betti
+    betti = report["betti"] = {
+        field: list(stage(f"betti_{field}", homology.betti_numbers, K, field).values)
+        for field in _fields(args.field)}
     gf2, q = betti.get(homology.GF2), betti.get(homology.Q)
 
-    orientable = None
-    if closed and props["pseudomanifold"]:
-        orientable = stage("orientability", lambda: homology.is_orientable(K))
-    report["orientable"] = orientable
-
-    report["automorphisms"] = stage("automorphisms", lambda: _automorphisms(K))
-
-    if K.dim >= 3 and closed and props["pseudomanifold"] and gf2 is not None:
-        bounds = stage("bounds", lambda: classify.check_lower_bounds(K, gf2[1]))
-        report["bounds"] = bounds.to_dict()
-    else:
-        report["bounds"] = None
-
+    if closed and pm:
+        report["orientable"] = stage("orientability", homology.is_orientable, K)
+    report["automorphisms"] = stage("automorphisms", _automorphisms, K)
+    if K.dim >= 3 and closed and pm and gf2 is not None:
+        report["bounds"] = stage(
+            "bounds", classify.check_lower_bounds, K, gf2[1]).to_dict()
     if K.dim in (3, 4) and closed:
-        report["tightness"] = stage(
-            "tightness", lambda: homology.certify_tight(K)).to_dict()
-    else:
-        report["tightness"] = None
-
+        report["tightness"] = stage("tightness", homology.certify_tight, K).to_dict()
     if K.dim >= 4 and connected and in_k:
         report["homeomorphism_type"] = stage(
-            "type", lambda: homology.identify_type(K)).to_dict()
-    else:
-        report["homeomorphism_type"] = None
+            "type", homology.identify_type, K).to_dict()
 
     consistency: dict[str, bool] = {}
     if gf2 is not None and q is not None:
@@ -200,15 +206,12 @@ def cmd_verify(args) -> int:
     if in_k and gf2 is not None and K.dim >= 4 and K.dim % 2 == 0:
         # chi = 2 - 2 beta_1 on each connected member, summed over the parts
         consistency["euler_formula"] = fv.chi == 2 * gf2[0] - 2 * gf2[1]
-    if orientable is not None and q is not None:
-        consistency["orientable_vs_top_betti_q"] = orientable == (q[K.dim] == 1)
+    if report["orientable"] is not None and q is not None:
+        consistency["orientable_vs_top_betti_q"] = report["orientable"] == (q[-1] == 1)
     report["consistency"] = consistency
     report["timing"] = timing
 
-    if args.text:
-        _emit(_verify_text(report), args.out)
-    else:
-        _emit(_json(report), args.out)
+    _emit(_verify_text(report) if args.text else _json(report), args.out)
     if "skipped" in report["automorphisms"] and args.strict:
         return EXIT_CAPACITY
     return EXIT_OK if all(consistency.values()) else EXIT_MISMATCH

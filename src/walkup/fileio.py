@@ -151,13 +151,9 @@ def parse_tree_family(text: str) -> TreeFamily:
     d, n, host_size = header
     if sorted(trees) != list(range(n)):
         raise ParseError(f"expected trees 0..{n - 1}, got {sorted(trees)}")
-    try:
-        host = Graph(host_size, edges)
-        return TreeFamily(host=host,
-                          trees=tuple(trees[i] for i in range(n)),
-                          dimension=d)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    # the checks above cover every one that Graph and TreeFamily make
+    return TreeFamily(host=Graph(host_size, edges),
+                      trees=tuple(trees[i] for i in range(n)), dimension=d)
 
 
 def format_tree_family(family: TreeFamily) -> str:

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -10,6 +12,34 @@ settings.load_profile("suite")
 
 FIVE_COMPLEXES = ("A5_21", "B5_21", "B5_26", "A5_41")
 FOUR_MANIFOLDS = ("M4_21", "N4_21", "N4_26", "M4_41")
+
+# the wall-clock limit of each test, so a test that hangs fails with its
+# name instead of stalling the suite; the slowest Tier-1 test takes about
+# 1.6 s, and a slow test passes its own, as @pytest.mark.slow(seconds=...)
+TEST_SECONDS = 30
+
+
+class DeadlineExceeded(BaseException):
+    """Raised in a test that runs past its limit.  Not an ``Exception``, so
+    neither an ``except Exception`` in the code under test nor Hypothesis,
+    which would shrink and so run the test again, catches it."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    marker = item.get_closest_marker("slow")
+    seconds = marker.kwargs.get("seconds", TEST_SECONDS) if marker else TEST_SECONDS
+
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"{item.nodeid} ran past its limit of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    enclosing = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:  # a test that runs pytest in-process gets its own timer back
+        signal.setitimer(signal.ITIMER_REAL, *enclosing)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def assert_text_fails(capsys, keys, *argv):
+    """The ``--text`` report of ``argv`` exits 1 and names exactly ``keys``."""
+    code, out, _ = run(capsys, *argv, "--text")
+    assert code == EXIT_MISMATCH
+    assert "consistency: FAILED " + ", ".join(keys) in out.splitlines()
+
+
 def strip_timing(doc):
     doc = dict(doc)
     doc.pop("timing", None)
@@ -232,6 +239,8 @@ class TestConsistencyChecks:
     @pytest.mark.parametrize("key, field, bad", [
         ("betti_Q_le_GF2", homology.Q, (1, 8, 1, 8, 1)),
         ("poincare_duality_GF2", homology.GF2, (1, 8, 0, 9, 1)),
+        # M4_21 is orientable, so a top Q Betti number of 0 contradicts it
+        ("orientable_vs_top_betti_q", homology.Q, (1, 8, 0, 8, 0)),
     ])
     def test_bad_betti_vector_is_a_mismatch(self, capsys, monkeypatch, key,
                                             field, bad):
@@ -246,6 +255,7 @@ class TestConsistencyChecks:
         code, doc, _ = run_json(capsys, "verify", "M4_21")
         assert code == EXIT_MISMATCH
         assert [k for k, ok in doc["consistency"].items() if not ok] == [key]
+        assert_text_fails(capsys, [key], "verify", "M4_21")
 
     @staticmethod
     def two_disjoint_simplex_boundaries(tmp_path) -> str:
@@ -281,6 +291,8 @@ class TestConsistencyChecks:
         assert code == EXIT_MISMATCH
         assert [k for k, ok in doc["consistency"].items() if not ok] == [
             "euler_formula"]
+        assert_text_fails(capsys, ["euler_formula"], "verify",
+                          self.two_disjoint_simplex_boundaries(tmp_path))
 
 
 class TestTable1:

@@ -80,9 +80,16 @@ def test_verify_builds_the_dual_graph_once(tmp_path, capsys, monkeypatch):
     assert main(["verify", str(path)]) == 0
     props = json.loads(capsys.readouterr().out)["properties"]
     assert props["stacked_ball"] and props["tree_dual_graph"]
-    # the input's dual graph serves the stacked-ball test and every vertex
-    # star of the Kbar test; no link builds one of its own
+    # the input's dual graph serves only the vertex stars of the Kbar test:
+    # the stacked-ball test reads the walk, and no link builds a graph
     assert [K.dim for (K,) in builds] == [4]
+
+
+def test_stacked_ball_builds_no_dual_graph():
+    K = Complex(random_stacked_ball(4, 40, seed=7).facets)
+    assert classify.is_stacked_ball(K)
+    # the vertex count, the top table's length and the facet walk decide it
+    assert "dual_graph" not in K._facts
 
 
 def test_verify_finds_the_vertex_components_once(capsys, monkeypatch):

@@ -7,9 +7,13 @@ the same questions (dense list elimination, all-permutations enumeration),
 so any pivoting or pruning bug shows up as a disagreement.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -18,10 +22,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from walkup import (GF2, Q, Complex, DomainError, GeneralComplex, Graph,
                     betti_numbers, boundary_matrix, catalog, classify, cone,
-                    dual_graph,
+                    dual_graph, fileio,
                     homology, in_walkup_class, is_closed, is_orientable,
                     is_pseudomanifold, is_stacked_ball, is_stacked_sphere,
                     is_weak_pseudomanifold, tree_family_from_complex)
+from walkup.cli import main
 from walkup.generators import (attach_along_codim2, cross_polytope_boundary,
                                random_stacked_ball, random_stacked_sphere,
                                random_tree_complex, standard_ball,
@@ -298,7 +303,7 @@ class TestCoreductionAgainstFullElimination:
             for field in (GF2, Q):
                 assert self.coreduced(K, field) == (1,) + (0,) * (d - 2) + (1,)
 
-    @pytest.mark.slow
+    @pytest.mark.slow(seconds=60)
     def test_3200_facet_stacked_sphere(self):
         S = random_stacked_sphere(4, 3200, seed=1)
         for field in (GF2, Q):
@@ -1090,7 +1095,7 @@ class TestWalkupClassesAgainstLinks:
         assert all(dual_graph(short).is_induced_subtree(star)
                    for star in short.vertex_incidence(short.dim).values())
 
-    def test_stacked_ball_shares_the_star_test(self):
+    def test_stacked_ball_against_the_dual_graph(self):
         for K in self.corpus():
             want = (is_weak_pseudomanifold(K)
                     and K.num_vertices == K.num_facets + K.dim
@@ -1222,6 +1227,10 @@ class TestBoundaryTableAgainstScans:
         assert outcome(is_orientable, K) == orientable
         strong = weak and scan_connects_every_facet(K, inc)
         assert is_pseudomanifold(K) == strong
+        if weak:  # the walk runs on weak complexes and orients closed ones
+            reached, consistent = classify._facet_walk(Complex(K.facets))
+            assert reached == scan_connects_every_facet(K, inc)
+            assert (consistent is None) == (not closed)
         tree = dual_graph(K).is_tree()
         assert classify._has_tree_dual_graph(Complex(K.facets)) == tree
         face_counts_match_tables(K)
@@ -1496,3 +1505,181 @@ class TestGeneratorsAgainstRescanning:
             for seed in range(5):
                 assert random_tree_complex(dim, 80, seed, 0.05) \
                     == rescanning_tree_complex(dim, 80, seed, 0.05), (dim, seed)
+
+
+def enumerated_f_vector(K) -> list:
+    """Oracle: the face counts, from every nonempty vertex subset of every
+    facet."""
+    sizes = Counter(len(face) for face in {
+        face for f in K.facets for r in range(1, len(f) + 1)
+        for face in itertools.combinations(f, r)})
+    return [sizes[j + 1] for j in range(K.dim + 1)]
+
+
+def searched_connectivity(K) -> bool:
+    """Oracle: whether every vertex is reached from the first one, each step
+    by a scan over every facet."""
+    seen = {K.facets[0][0]}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for f in K.facets:
+            if v in f:
+                stack += [u for u in f if u not in seen]
+                seen.update(f)
+    return len(seen) == K.num_vertices
+
+
+def naive_verify(K, fields) -> tuple[dict, int]:
+    """Oracle: the ``verify`` report of K outside ``timing``, ``input`` and
+    ``seed``, with its exit code (no ``--strict``).
+
+    The guards restate the section rules of the ``cli`` docstring.  Every
+    value comes from an oracle of this module, on K itself, except the
+    automorphism generators and the ``bounds``, ``tightness`` and ``type``
+    sections, which come from the library function each names, on a fresh
+    copy; the group order is enumerated on at most 6 vertices.
+    """
+    d, fv = K.dim, enumerated_f_vector(K)
+    chi = sum((-1) ** j * n for j, n in enumerate(fv))
+    props = {"connected": searched_connectivity(K)}
+    report = dict.fromkeys(("boundary_f_vector", "walkup", "orientable",
+                            "bounds", "tightness", "homeomorphism_type"))
+    report.update(schema=2, dim=d, num_vertices=K.num_vertices,
+                  num_facets=K.num_facets, f_vector=fv,
+                  euler_characteristic=chi, properties=props)
+    closed = pseudomanifold = False
+    if d >= 1:
+        inc = scanned_ridge_incidence(K)
+        weak = all(len(owners) <= 2 for owners in inc.values())
+        closed = all(len(owners) == 2 for owners in inc.values())
+        pseudomanifold = weak and scan_connects_every_facet(K, inc)
+        dual_edges = {e for owners in inc.values()
+                      for e in itertools.combinations(owners, 2)}
+        tree = (scan_connects_every_facet(K, inc)
+                and len(dual_edges) == K.num_facets - 1)
+        props.update(
+            weak_pseudomanifold=weak, closed=closed,
+            pseudomanifold=pseudomanifold,
+            neighborly=fv[1] == math.comb(K.num_vertices, 2),
+            tree_dual_graph=tree,
+            stacked_ball=tree and K.num_vertices == K.num_facets + d,
+            stacked_sphere=closed and restarting_is_stacked_sphere(K))
+        if weak and not closed:
+            report["boundary_f_vector"] = enumerated_f_vector(Complex(
+                r for r, owners in inc.items() if len(owners) == 1))
+    in_k = False
+    if d >= 2:
+        report["walkup"] = {v: link_building_walkup(K, v)
+                            for v in ("K", "Kbar", "Kstar")}
+        in_k = report["walkup"]["K"]
+    betti = report["betti"] = {f: list(naive_betti(K, f)) for f in fields}
+    gf2, q = betti.get(GF2), betti.get(Q)
+    if closed and pseudomanifold:
+        report["orientable"] = searched_orientability(K)
+    dense = K.relabeled({v: i for i, v in enumerate(K.vertices)})
+    aut = report["automorphisms"] = automorphism_group(dense).to_dict()
+    if K.num_vertices <= 6:
+        group = naive_automorphisms(dense)
+        assert {tuple(g) for g in aut["generators"]} <= group
+        aut["order"] = len(group)
+    fresh = Complex(K.facets)
+    if d >= 3 and closed and pseudomanifold and gf2 is not None:
+        report["bounds"] = classify.check_lower_bounds(fresh, gf2[1]).to_dict()
+    if d in (3, 4) and closed:
+        report["tightness"] = homology.certify_tight(fresh).to_dict()
+    if d >= 4 and props["connected"] and in_k:
+        report["homeomorphism_type"] = homology.identify_type(fresh).to_dict()
+    checks = report["consistency"] = {}
+    if gf2 is not None and q is not None:
+        checks["betti_Q_le_GF2"] = all(b <= a for b, a in zip(q, gf2))
+    if in_k and closed and props["connected"] and gf2 is not None:
+        checks["poincare_duality_GF2"] = gf2 == gf2[::-1]
+    if in_k and d >= 4 and d % 2 == 0 and gf2 is not None:
+        checks["euler_formula"] = chi == 2 * gf2[0] - 2 * gf2[1]
+    if report["orientable"] is not None and q is not None:
+        checks["orientable_vs_top_betti_q"] = report["orientable"] == (q[d] == 1)
+    return json.loads(json.dumps(report)), int(not all(checks.values()))
+
+
+FIELD_OPTIONS = {"both": (GF2, Q), "gf2": (GF2,), "q": (Q,)}
+
+
+def verify_on_stdin(K, option: str) -> tuple[dict, int]:
+    """``walkup verify - --field option`` on K's facet file, as the report
+    outside ``timing``, ``input`` and ``seed``, and the exit code."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(fileio.format_facets(K))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", "-", "--field", option])
+    finally:
+        sys.stdin = stdin
+    doc = json.loads(out.getvalue())
+    for key in ("timing", "input", "seed"):
+        del doc[key]
+    return doc, code
+
+
+class TestVerifyAgainstNaiveReport:
+    """Each section of ``walkup verify`` under its documented guard, its
+    values recomputed by the oracles above and compared key by key."""
+
+    @staticmethod
+    def fixed_cases() -> list:
+        S = standard_sphere(4).facets
+        return [catalog.get("S4_6"), standard_sphere(3),
+                random_stacked_sphere(4, 2, seed=ORACLE_SEED),
+                random_stacked_ball(4, 3, seed=ORACLE_SEED),
+                two_spheres_at_a_vertex(3),
+                Complex(S + tuple(tuple(v + 6 for v in f) for f in S)),
+                TestWalkupClassesAgainstLinks.THREE_ON_A_RIDGE, RP2_6,
+                Complex([(0, 1), (1, 2), (2, 3), (0, 3)]),
+                Complex([(0, 1, 2, 3, 4)]), catalog.get("nonball_example"),
+                Complex([(0,), (3,)])]
+
+    @staticmethod
+    def check(K, option: str) -> dict:
+        got, code = verify_on_stdin(K, option)
+        want, want_code = naive_verify(K, FIELD_OPTIONS[option])
+        for key in want.keys() | got.keys():
+            assert got.get(key) == want.get(key), (K, option, key)
+        assert code == want_code, (K, option)
+        return got
+
+    def test_fixed_cases_reach_every_branch(self):
+        sections = ("boundary_f_vector", "walkup", "orientable", "bounds",
+                    "tightness", "homeomorphism_type")
+        keys = ("betti_Q_le_GF2", "poincare_duality_GF2", "euler_formula",
+                "orientable_vs_top_betti_q")
+        filled = {name: set() for name in sections + keys}
+        for K in self.fixed_cases():
+            for option in FIELD_OPTIONS:
+                doc = self.check(K, option)
+                for name in sections:
+                    filled[name].add(doc[name] is not None)
+                for name in keys:
+                    filled[name].add(name in doc["consistency"])
+        assert all(seen == {True, False} for seen in filled.values()), filled
+
+    @given(small_pure_complexes(), st.sampled_from(sorted(FIELD_OPTIONS)))
+    def test_small_complexes(self, K, option):
+        self.check(K, option)
+
+    @pytest.mark.slow(seconds=60)
+    def test_seeded_sweep(self):
+        rng = random.Random(ORACLE_SEED)
+        cases = []
+        for d in (1, 2, 3, 4):
+            for _ in range(6):
+                seed = rng.randrange(10 ** 9)
+                ball = random_stacked_ball(d, rng.randint(1, 5), seed=seed)
+                cases += [ball, random_stacked_sphere(d, rng.randint(1, 3), seed=seed),
+                          random_tree_complex(d, rng.randint(2, 6), seed=seed)]
+                if d >= 2:  # a facet on a codimension-2 face: no dual tree
+                    cases.append(attach_along_codim2(ball, seed=seed))
+            cases += [random_pure_complex(rng, d) for _ in range(30)]
+            cases.append(two_spheres_at_a_vertex(d))
+        cases += self.fixed_cases()
+        assert len(cases) >= 200
+        for K in cases:
+            self.check(K, rng.choice(sorted(FIELD_OPTIONS)))
