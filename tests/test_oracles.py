@@ -303,7 +303,7 @@ class TestCoreductionAgainstFullElimination:
             for field in (GF2, Q):
                 assert self.coreduced(K, field) == (1,) + (0,) * (d - 2) + (1,)
 
-    @pytest.mark.slow(seconds=60)
+    @pytest.mark.slow
     def test_3200_facet_stacked_sphere(self):
         S = random_stacked_sphere(4, 3200, seed=1)
         for field in (GF2, Q):
@@ -1665,7 +1665,7 @@ class TestVerifyAgainstNaiveReport:
     def test_small_complexes(self, K, option):
         self.check(K, option)
 
-    @pytest.mark.slow(seconds=60)
+    @pytest.mark.slow
     def test_seeded_sweep(self):
         rng = random.Random(ORACLE_SEED)
         cases = []
